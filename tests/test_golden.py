@@ -1,0 +1,24 @@
+"""Model bytes and evaluate reports stay equal to the committed golden files."""
+
+import os
+
+import pytest
+
+from golden_cases import CASES, GOLDEN_DIR, NUMPY_VERSION_FILE, numpy_version, replay
+
+
+def read_text(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name, tmp_path):
+    made_with = read_text(NUMPY_VERSION_FILE).strip()
+    for file_name, text in replay(name, str(tmp_path)).items():
+        expected = read_text(os.path.join(GOLDEN_DIR, file_name))
+        assert text == expected, (
+            f"tests/golden/{file_name} differs from a fresh run; the golden files "
+            f"were made with numpy {made_with}, this run uses numpy {numpy_version()}. "
+            f"If the change is intended, run scripts/regen_golden.py and say why in "
+            f"CHANGES.md.")
