@@ -111,9 +111,11 @@ def _trial_model_path(base: str | None, trial: int, trials: int) -> str | None:
 
 
 def _run_trial(payload: tuple) -> dict:
-    """Train and score one trial; runs in the parent or a worker process."""
-    data_path, label_col, cfg_params, train_frac, trial_seed = payload
-    data = load_csv(data_path, label_col)
+    """Train and score one trial; runs in the parent or a worker process.
+
+    The payload carries the parsed dataset, so no trial reads the CSV again.
+    """
+    data, cfg_params, train_frac, trial_seed = payload
     cfg = TrainerConfig(**{**cfg_params, "seed": trial_seed})
     train_part, test_part = stratified_split(data, SplitSpec(train_frac, trial_seed))
     stack = train(train_part, cfg)
@@ -143,13 +145,10 @@ def cmd_train(args) -> int:
         raise ValueError("--trials must be at least 1")
     if args.parallel < 1:
         raise ValueError("--parallel must be at least 1")
-    load_csv(args.data, _parse_label_col(args.label_col))  # fail fast on bad input
+    data = load_csv(args.data, _parse_label_col(args.label_col))
     cfg_params = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(TrainerConfig)}
-    payloads = [
-        (args.data, _parse_label_col(args.label_col), cfg_params,
-         args.train_frac, args.seed + t)
-        for t in range(args.trials)
-    ]
+    payloads = [(data, cfg_params, args.train_frac, args.seed + t)
+                for t in range(args.trials)]
     if args.parallel > 1 and args.trials > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             results = list(pool.map(_run_trial, payloads))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import locate_bins, match_positions, nearest_positions, nearest_pure_bin
-from .dataset import LabeledDataset
+from .dataset import DatasetError, LabeledDataset
 from .programs import eval_batch, eval_record
 from .training import EnsembleStack, pure_bin_hits
 
@@ -37,7 +37,8 @@ class EvalReport:
     """Outcome counts of running a dataset through a stack.
 
     ``correct``/``error`` count records the stack itself answered;
-    ``fallback`` counts records no level answered.  Strict accuracy scores
+    ``fallback`` counts records no level answered, ``fallback_correct``
+    those of them whose label is the majority class.  Strict accuracy scores
     only stack answers against the full dataset, while
     ``accuracy_with_fallback`` also credits correct majority-class
     fallbacks.  ``per_level_counts[i]`` is how many records level i+1
@@ -49,6 +50,7 @@ class EvalReport:
     correct: int
     error: int
     fallback: int
+    fallback_correct: int
     per_level_counts: list[int]
     per_level_nodes: list[int]
     seconds: float
@@ -56,10 +58,6 @@ class EvalReport:
     @property
     def n(self) -> int:
         return self.correct + self.error + self.fallback
-
-    @property
-    def fallback_correct(self) -> int:
-        return int(round(self.accuracy_with_fallback * self.n)) - self.correct
 
     def to_dict(self) -> dict:
         return {
@@ -86,6 +84,24 @@ def _float32_values(y: np.ndarray) -> np.ndarray:
     v = y.astype(np.float32)
     v[v == 0] = np.float32(0.0)
     return v.astype(np.float64)
+
+
+def _labels_by_name(data: LabeledDataset, classes: tuple[str, ...]) -> np.ndarray:
+    """``data.labels`` encoded as positions in ``classes``, matched by name.
+
+    Raises DatasetError naming any label of ``data`` absent from ``classes``.
+    """
+    if data.classes == classes:
+        return data.labels
+    index = {name: k for k, name in enumerate(classes)}
+    present = np.bincount(data.labels, minlength=data.num_classes) > 0
+    unknown = [name for name, seen in zip(data.classes, present)
+               if seen and name not in index]
+    if unknown:
+        raise DatasetError("labels the model never saw: "
+                           + ", ".join(repr(name) for name in unknown))
+    recode = np.array([index.get(name, -1) for name in data.classes], dtype=np.int64)
+    return recode[data.labels]
 
 
 def predict_record(stack: EnsembleStack, record: np.ndarray,
@@ -121,12 +137,16 @@ def evaluate(stack: EnsembleStack, data: LabeledDataset,
 
     Vectorized: each level is evaluated once over all records still
     unanswered.  Results match :func:`predict_record` record for record.
+    Labels are compared by class name, so ``data`` may encode its classes
+    differently from the stack; a label the stack never saw raises
+    DatasetError.
     """
     t0 = time.perf_counter()
     depth = _resolve_depth(stack, stack_depth)
     if data.d != stack.n_attributes:
         raise ValueError(f"dataset has {data.d} attributes, stack expects "
                          f"{stack.n_attributes}")
+    truth = _labels_by_name(data, stack.classes)
     entries = stack.entries[:depth]
     n = data.n
     pred = np.full(n, -1, dtype=np.int64)
@@ -159,7 +179,7 @@ def evaluate(stack: EnsembleStack, data: LabeledDataset,
         remaining = remaining[~hit]
 
     pred[remaining] = stack.majority_class
-    correct_mask = pred == data.labels
+    correct_mask = pred == truth
     answered_mask = level_of > 0
     correct = int(np.count_nonzero(correct_mask & answered_mask))
     error = int(np.count_nonzero(~correct_mask & answered_mask))
@@ -171,6 +191,7 @@ def evaluate(stack: EnsembleStack, data: LabeledDataset,
         correct=correct,
         error=error,
         fallback=fallback,
+        fallback_correct=fallback_correct,
         per_level_counts=per_level_counts,
         per_level_nodes=[e.tree.node_count for e in entries],
         seconds=time.perf_counter() - t0,

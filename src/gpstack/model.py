@@ -10,14 +10,14 @@ deliberately not stored; a loaded stack reports zero seconds.  The
 from __future__ import annotations
 
 from .binning import AmbiguousBin, IntervalGeometry, PureBin
-from .programs import TreeFormatError, format_tree, parse_tree
+from .programs import Attribute, TreeFormatError, _leaves_preorder, format_tree, parse_tree
 from .training import ChampionEntry, EnsembleStack, TrainerConfig, TrainingLog
 
 MAGIC = "gpstack-model v1"
 
 
 class ModelFormatError(Exception):
-    """Raised when a model file cannot be parsed."""
+    """Raised when a model file cannot be parsed or is inconsistent."""
 
 
 def dumps(stack: EnsembleStack) -> str:
@@ -105,6 +105,11 @@ class _Cursor:
 def loads(text: str) -> EnsembleStack:
     """Parse the text format back into a stack.
 
+    Besides syntax, every entry is checked against the header: its geometry
+    mode must equal ``mode``, its program may read only attributes below
+    ``attributes``, and its pure and ambiguous bins must each be strictly
+    ascending in the value the lookups search: the key in fixed mode, the
+    rep in float32 mode.
     Errors name the offending line.
     """
     cur = _Cursor(text)
@@ -160,7 +165,7 @@ def loads(text: str) -> EnsembleStack:
         idx = cur.scalar("entry", int, "an integer")
         if idx != k:
             cur.fail(f"expected entry {k}, found {idx}")
-        entries.append(_parse_entry(cur, n_classes))
+        entries.append(_parse_entry(cur, n_classes, n_attributes, mode))
     tail = cur.next()
     if tail != "end":
         cur.fail(f"expected final 'end', found {tail!r}")
@@ -172,7 +177,7 @@ def loads(text: str) -> EnsembleStack:
                          majority, config, log)
 
 
-def _parse_entry(cur: _Cursor, n_classes: int) -> ChampionEntry:
+def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> ChampionEntry:
     boost_epoch = cur.scalar("boost_epoch", int, "an integer")
     fitness = cur.scalar("fitness", float, "a float")
     claimed = cur.scalar("records_claimed", int, "an integer")
@@ -185,6 +190,8 @@ def _parse_entry(cur: _Cursor, n_classes: int) -> ChampionEntry:
         geometry = IntervalGeometry(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
     except ValueError as exc:
         cur.fail(f"bad geometry: {exc}")
+    if geometry.mode != mode:
+        cur.fail(f"geometry mode {geometry.mode!r} disagrees with model mode {mode!r}")
 
     line = cur.next()
     if not line.startswith("tree "):
@@ -193,6 +200,10 @@ def _parse_entry(cur: _Cursor, n_classes: int) -> ChampionEntry:
         tree = parse_tree(line[len("tree "):])
     except TreeFormatError as exc:
         cur.fail(f"bad program: {exc}")
+    for leaf in _leaves_preorder(tree.root):
+        if isinstance(leaf, Attribute) and not 0 <= leaf.index < n_attributes:
+            cur.fail(f"program reads attribute {leaf.index}, "
+                     f"model has {n_attributes} attributes")
 
     n_pure = cur.scalar("pure_bins", int, "an integer")
     pure: list[PureBin] = []
@@ -208,6 +219,7 @@ def _parse_entry(cur: _Cursor, n_classes: int) -> ChampionEntry:
         if not 0 <= b.label < n_classes:
             cur.fail("pure bin label out of range")
         pure.append(b)
+    _check_ascending(cur, "pure", pure, mode)
     n_ambig = cur.scalar("ambiguous_bins", int, "an integer")
     ambiguous: list[AmbiguousBin] = []
     for _ in range(n_ambig):
@@ -218,10 +230,19 @@ def _parse_entry(cur: _Cursor, n_classes: int) -> ChampionEntry:
             ambiguous.append(AmbiguousBin(int(parts[0]), float(parts[1])))
         except ValueError:
             cur.fail("cannot parse ambiguous bin fields")
+    _check_ascending(cur, "ambiguous", ambiguous, mode)
     if cur.next() != "end":
         cur.fail("expected 'end' after entry")
     return ChampionEntry(tree, fitness, geometry, tuple(pure), tuple(ambiguous),
                          beta, boost_epoch, claimed)
+
+
+def _check_ascending(cur: _Cursor, kind: str, bins: list, mode: str) -> None:
+    # lookups search fixed-mode keys and float32-mode reps
+    order = [b.key if mode == "fixed" else b.rep for b in bins]
+    if not all(a < b for a, b in zip(order, order[1:])):
+        what = "keys" if mode == "fixed" else "reps"
+        cur.fail(f"{kind} bins are not in strictly ascending {what}")
 
 
 def save_model(stack: EnsembleStack, path: str) -> None:

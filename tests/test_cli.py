@@ -1,10 +1,12 @@
 """Command line flows, exercised through main() with temp files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+import gpstack.cli as cli
 from gpstack.cli import main, read_config_file
 from gpstack.dataset import load_csv, write_csv
 from gpstack.model import load_model
@@ -136,6 +138,22 @@ class TestTrainCommand:
         assert rc == 0
 
 
+class TestParseOnce:
+    def test_train_parses_its_csv_once(self, noisy_csv, monkeypatch):
+        calls = []
+        real = cli.load_csv
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counting)
+        rc = main(["train", "--data", noisy_csv, "--trials", "3", "--boost-epochs", "3",
+                   "--gp-epochs", "2", "--pop-size", "6", "--gap", "2"])
+        assert rc == 0
+        assert len(calls) == 1
+
+
 class TestEvaluateCommand:
     def test_evaluate_saved_model(self, toy_csv, tmp_path, capsys):
         model = tmp_path / "m.model"
@@ -173,6 +191,42 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--data", str(other), "--model", str(model)])
         assert rc == 1
         assert "attributes" in capsys.readouterr().err
+
+
+    def test_labels_scored_by_class_name(self, tmp_path, capsys):
+        data = separable_dataset(n_per_class=30, seed=0)
+        all_csv, pos_csv = tmp_path / "all.csv", tmp_path / "pos.csv"
+        write_csv(data, str(all_csv))
+        # a CSV of only "pos" rows encodes "pos" as 0, the model as 1
+        write_csv(data.take(np.flatnonzero(data.labels == 1)), str(pos_csv))
+        model = tmp_path / "m.model"
+        assert main(["train", "--data", str(all_csv), "--model", str(model)]) == 0
+        for csv_path in (all_csv, pos_csv):
+            capsys.readouterr()
+            assert main(["evaluate", "--data", str(csv_path), "--model", str(model)]) == 0
+            assert "accuracy (with fallback) 1.0000" in capsys.readouterr().out
+
+    def test_unknown_label_fails_cleanly(self, toy_csv, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        assert main(["train", "--data", toy_csv, "--model", str(model)]) == 0
+        other = tmp_path / "other.csv"
+        other.write_text(open(toy_csv, encoding="utf-8").read().replace(",pos", ",maybe"),
+                         encoding="utf-8")
+        rc = main(["evaluate", "--data", str(other), "--model", str(model)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'maybe'" in err
+
+    def test_model_reading_a_missing_attribute_fails_cleanly(self, toy_csv, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        assert main(["train", "--data", toy_csv, "--model", str(model)]) == 0
+        bad = tmp_path / "bad.model"
+        bad.write_text(re.sub(r"\(attr \d+\)", "(attr 7)", model.read_text(encoding="utf-8")),
+                       encoding="utf-8")
+        rc = main(["evaluate", "--data", toy_csv, "--model", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "attribute 7" in err
 
 
 class TestInspectCommand:

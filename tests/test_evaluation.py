@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gpstack.binning import AmbiguousBin, IntervalGeometry, PureBin
-from gpstack.dataset import LabeledDataset
-from gpstack.evaluation import (evaluate, predict_record, stack_usage_report)
+from gpstack.dataset import DatasetError, LabeledDataset
+from gpstack.evaluation import (_labels_by_name, evaluate, predict_record,
+                                stack_usage_report)
 from gpstack.programs import parse_tree
 from gpstack.training import (ChampionEntry, EnsembleStack, TrainerConfig,
                               TrainingLog, train)
@@ -171,6 +172,40 @@ class TestEvaluate:
         assert rep.accuracy_strict == 0.0
         assert rep.accuracy_with_fallback == 0.5
         assert rep.per_level_counts == []
+
+
+class TestLabelsByName:
+    """Eval labels are matched to the stack's classes by name, not by the
+    eval file's own encoding."""
+
+    def stack(self):
+        # level 1 answers low values as "a"; everything else falls back to "b"
+        return manual_stack([fixed_entry([PureBin(0, 2.5, 0, 5, 5)])], majority=1)
+
+    def test_subset_of_classes(self):
+        only_b = one_col([8.0, 9.0], [0, 0], classes=("b",))
+        rep = evaluate(self.stack(), only_b)
+        assert rep.accuracy_with_fallback == 1.0
+        assert rep.fallback == 2 and rep.fallback_correct == 2
+
+    def test_different_order_of_the_same_names(self):
+        data = one_col([1.0, 8.0], [0, 1], classes=("a", "b"))
+        swapped = one_col([1.0, 8.0], [1, 0], classes=("b", "a"))
+        assert evaluate(self.stack(), swapped).to_dict() | {"seconds": 0} == \
+            evaluate(self.stack(), data).to_dict() | {"seconds": 0}
+
+    def test_unknown_label_names_rejected(self):
+        data = one_col([1.0, 8.0, 9.0], [0, 1, 2], classes=("a", "maybe", "zz"))
+        with pytest.raises(DatasetError, match="'maybe', 'zz'"):
+            evaluate(self.stack(), data)
+
+    def test_unused_unknown_class_is_ignored(self):
+        data = one_col([1.0, 8.0], [0, 1], classes=("a", "b", "never"))
+        assert evaluate(self.stack(), data).accuracy_with_fallback == 1.0
+
+    def test_equal_classes_use_labels_as_they_are(self):
+        data = one_col([1.0, 8.0], [0, 1])
+        assert _labels_by_name(data, ("a", "b")) is data.labels
 
 
 class TestStackDepth:

@@ -129,6 +129,56 @@ class TestCorruptInput:
         with pytest.raises(ModelFormatError, match="label out of range"):
             loads("\n".join(lines) + "\n")
 
+    def test_attribute_beyond_header_rejected(self):
+        lines = dumps(trained_stack(0)).splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("tree "))
+        lines[idx] = "tree (add (attr 1) (attr 3))"  # the stack has 3 attributes
+        with pytest.raises(ModelFormatError, match=f"line {idx + 1}: .*attribute 3"):
+            loads("\n".join(lines) + "\n")
+
+    def test_negative_attribute_rejected(self):
+        lines = dumps(trained_stack(0)).splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("tree "))
+        lines[idx] = "tree (attr -1)"
+        with pytest.raises(ModelFormatError, match="attribute -1"):
+            loads("\n".join(lines) + "\n")
+
+    def test_geometry_mode_must_match_model_mode(self):
+        lines = dumps(trained_stack(0)).splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("geometry fixed"))
+        lines[idx] = "geometry float32 0.0 1.0 4294967296"
+        with pytest.raises(ModelFormatError, match=f"line {idx + 1}: geometry mode"):
+            loads("\n".join(lines) + "\n")
+
+    @staticmethod
+    def bin_lines(text, kind):
+        """Lines of the first entry with at least two ``kind`` bins, and the
+        index of its first such line."""
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith(f"{kind} ") and lines[i + 1].startswith(f"{kind} "):
+                return lines, i
+        raise AssertionError(f"no entry with two {kind} bins")
+
+    @pytest.mark.parametrize("kind,float_resolution", [
+        ("pure", False), ("pure", True), ("ambig", True)])
+    def test_unsorted_bins_rejected(self, kind, float_resolution):
+        text = dumps(trained_stack(0, float_resolution=float_resolution,
+                                   data=random_dataset(np.random.default_rng(7), n=200, d=3)))
+        lines, i = self.bin_lines(text, kind)
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        with pytest.raises(ModelFormatError, match="not in strictly ascending"):
+            loads("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("kind", ["pure", "ambig"])
+    def test_duplicated_bins_rejected(self, kind):
+        text = dumps(trained_stack(0, float_resolution=True,
+                                   data=random_dataset(np.random.default_rng(7), n=200, d=3)))
+        lines, i = self.bin_lines(text, kind)
+        lines[i + 1] = lines[i]
+        with pytest.raises(ModelFormatError, match="not in strictly ascending"):
+            loads("\n".join(lines) + "\n")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):
             load_model(str(tmp_path / "absent.model"))
