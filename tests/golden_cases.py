@@ -1,11 +1,17 @@
 """The golden byte contract: which runs are pinned and how they are replayed.
 
-``tests/golden/`` holds two fixed input CSVs (``train.csv`` and
-``holdout.csv``), and for every case below the model file ``gpstack train``
-writes from ``train.csv`` and the ``gpstack evaluate`` report of that model
-on ``holdout.csv``, without wall-clock fields.  ``numpy_version.txt`` names
-the numpy the files were made with.  The CSVs are inputs and are never
-regenerated; ``scripts/regen_golden.py`` rewrites everything else.
+``tests/golden/`` holds fixed input CSVs, and for every case below the
+model file ``gpstack train`` writes from the case's train CSV and the
+``gpstack evaluate`` report of that model on its holdout CSV, without
+wall-clock fields.  ``numpy_version.txt`` names the numpy the files were
+made with.  The CSVs are inputs and are never regenerated;
+``scripts/regen_golden.py`` rewrites everything else.
+
+``train.csv``/``holdout.csv`` are a small hand-made set.
+``uci_train.csv``/``uci_holdout.csv`` are the ``gpstack split --seed 0``
+parts of one UCI-sized 500 x 30 set drawn with the benchmark's recipe
+(``perfbench/gen.py``, ``uci_sized(500, 30, [0, 0])``); its case trains a
+stack of up to 10 levels, as the benchmark's uci workload does.
 """
 
 from __future__ import annotations
@@ -18,16 +24,18 @@ import os
 import numpy as np
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-TRAIN_CSV = os.path.join(GOLDEN_DIR, "train.csv")
-HOLDOUT_CSV = os.path.join(GOLDEN_DIR, "holdout.csv")
 NUMPY_VERSION_FILE = os.path.join(GOLDEN_DIR, "numpy_version.txt")
 
-# case name -> train flags besides --data/--model
+SMALL = ("train.csv", "holdout.csv")
+UCI = ("uci_train.csv", "uci_holdout.csv")
+
+# case name -> ((train CSV, holdout CSV), train flags besides --data/--model)
 CASES = {
-    "fixed_seed0": ("--preset", "small-fast", "--boost-epochs", "8", "--seed", "0"),
-    "fixed_seed1": ("--preset", "small-fast", "--boost-epochs", "8", "--seed", "1"),
-    "float32_seed0": ("--preset", "large-fast", "--seed", "0"),
-    "float32_seed1": ("--preset", "large-fast", "--seed", "1"),
+    "fixed_seed0": (SMALL, ("--preset", "small-fast", "--boost-epochs", "8", "--seed", "0")),
+    "fixed_seed1": (SMALL, ("--preset", "small-fast", "--boost-epochs", "8", "--seed", "1")),
+    "float32_seed0": (SMALL, ("--preset", "large-fast", "--seed", "0")),
+    "float32_seed1": (SMALL, ("--preset", "large-fast", "--seed", "1")),
+    "uci_fixed_seed0": (UCI, ("--preset", "small-fast", "--boost-epochs", "10", "--seed", "0")),
 }
 
 
@@ -43,12 +51,14 @@ def replay(name: str, workdir: str) -> dict[str, str]:
     """
     from gpstack.cli import main
 
+    (train_csv, holdout_csv), flags = CASES[name]
     model_path = os.path.join(workdir, f"{name}.model")
     eval_path = os.path.join(workdir, f"{name}.evaluate.json")
     with contextlib.redirect_stdout(io.StringIO()):
-        if main(["train", "--data", TRAIN_CSV, "--model", model_path, *CASES[name]]) != 0:
+        if main(["train", "--data", os.path.join(GOLDEN_DIR, train_csv),
+                 "--model", model_path, *flags]) != 0:
             raise RuntimeError(f"{name}: gpstack train failed")
-        if main(["evaluate", "--data", HOLDOUT_CSV, "--model", model_path,
+        if main(["evaluate", "--data", os.path.join(GOLDEN_DIR, holdout_csv), "--model", model_path,
                  "--out", eval_path]) != 0:
             raise RuntimeError(f"{name}: gpstack evaluate failed")
     with open(model_path, encoding="utf-8", newline="") as fh:
