@@ -317,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--beta", type=float, default=None)
     p_train.add_argument("--alpha", type=float, default=None)
     p_train.add_argument("--workers", type=int, default=None,
-                         help="threads for scoring one population")
+                         help="threads for scoring one population program by program "
+                              "(float32 mode, and fixed mode with num_bin x classes >= 8); "
+                              "other fixed-mode populations are scored as one batch in "
+                              "one thread")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a saved model on a CSV")

@@ -89,6 +89,7 @@ _UNSPLIT_CHARS = "\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset:
     """Load a headered CSV where one column holds class labels.
 
+    The file must be UTF-8; a leading byte order mark is dropped.
     ``label_column`` selects the label column by header name or 0-based
     position; by default the last column is used.  All other cells must parse
     as finite floats; a bad cell is reported with its row and column.
@@ -105,17 +106,24 @@ def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset
     paths give identical results on every input the columnar one accepts.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot open {path}: {exc}") from exc
     with fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text: cannot decode byte "
+                               f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
     # Without quotes a record is a line, so splitlines() gives csv's rows.
     lines = None
     if '"' not in text and not any(c in text for c in _UNSPLIT_CHARS):
         lines = text.splitlines()
     reader = csv.reader(io.StringIO(text, newline="") if lines is None else lines)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: header row: {exc}") from None
     if header is None:
         raise DatasetError(f"{path}: file is empty")
     if not header:
@@ -160,7 +168,13 @@ def _parse_columnar(text: str, lines: list[str], attr_idx: list[int], label_idx:
 
 def _parse_rows(reader, header: list[str], attr_idx: list[int], label_idx: int, path: str):
     """(records, labels, classes) from the remaining csv rows, cell by cell."""
-    rows = [row for row in reader if row]
+    rows = []
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DatasetError(f"{path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise DatasetError(f"{path}: no data rows")
 

@@ -9,7 +9,7 @@ deliberately not stored; a loaded stack reports zero seconds.  The
 
 from __future__ import annotations
 
-from .binning import AmbiguousBin, IntervalGeometry, PureBin
+from .binning import AmbiguousBin, IntervalGeometry, PureBin, key_reps
 from .programs import Attribute, TreeFormatError, _leaves_preorder, format_tree, parse_tree
 from .training import ChampionEntry, EnsembleStack, TrainerConfig, TrainingLog
 
@@ -109,7 +109,8 @@ def loads(text: str) -> EnsembleStack:
     mode must equal ``mode``, its program may read only attributes below
     ``attributes``, and its pure and ambiguous bins must each be strictly
     ascending in the value the lookups search: the key in fixed mode, the
-    rep in float32 mode.
+    rep in float32 mode.  A fixed-mode bin's rep must be exactly the one
+    its key and the entry's geometry give.
     Errors name the offending line.
     """
     cur = _Cursor(text)
@@ -218,6 +219,8 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> 
             cur.fail("cannot parse pure bin fields")
         if not 0 <= b.label < n_classes:
             cur.fail("pure bin label out of range")
+        if mode == "fixed":
+            _check_fixed_rep(cur, geometry, b)
         pure.append(b)
     _check_ascending(cur, "pure", pure, mode)
     n_ambig = cur.scalar("ambiguous_bins", int, "an integer")
@@ -227,14 +230,26 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> 
         if len(parts) != 2:
             cur.fail("ambig takes key and rep")
         try:
-            ambiguous.append(AmbiguousBin(int(parts[0]), float(parts[1])))
+            b = AmbiguousBin(int(parts[0]), float(parts[1]))
         except ValueError:
             cur.fail("cannot parse ambiguous bin fields")
+        if mode == "fixed":
+            _check_fixed_rep(cur, geometry, b)
+        ambiguous.append(b)
     _check_ascending(cur, "ambiguous", ambiguous, mode)
     if cur.next() != "end":
         cur.fail("expected 'end' after entry")
     return ChampionEntry(tree, fitness, geometry, tuple(pure), tuple(ambiguous),
                          beta, boost_epoch, claimed)
+
+
+def _check_fixed_rep(cur: _Cursor, geometry: IntervalGeometry, b) -> None:
+    try:
+        rep = float(key_reps(geometry, b.key))
+    except OverflowError:
+        cur.fail(f"bin key {b.key} out of range")
+    if rep != b.rep:
+        cur.fail(f"bin rep {b.rep!r} disagrees with key {b.key}, which gives {rep!r}")
 
 
 def _check_ascending(cur: _Cursor, kind: str, bins: list, mode: str) -> None:

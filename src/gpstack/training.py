@@ -14,9 +14,11 @@ champion stalls the run and training stops with whatever stack exists.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -99,9 +101,22 @@ class ChampionEntry:
 
 @dataclass(frozen=True)
 class ScoredTree:
+    """A program, its fitness on one dataset, and its histogram there.
+
+    The third field is the histogram itself or a zero-argument builder of
+    it; a builder runs on the first read of ``histogram``, and its result is
+    kept.  Batched scoring gives fitness without histograms, so only the
+    programs that :func:`find_champion` examines pay for one.
+    """
+
     tree: ProgramTree
     fitness: float
-    histogram: BinHistogram
+    _histogram: BinHistogram | Callable[[], BinHistogram] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def histogram(self) -> BinHistogram:
+        h = self._histogram
+        return h if isinstance(h, BinHistogram) else h()
 
 
 @dataclass(frozen=True)
@@ -144,6 +159,10 @@ class EnsembleStack:
         return [e.tree.node_count for e in self.entries]
 
 
+# Most program outputs (programs x records) one scoring batch holds at once.
+BATCH_CELLS = 2 ** 21
+
+
 def _score_one(tree: ProgramTree, data: LabeledDataset, fitcfg: FitnessConfig,
                class_counts: np.ndarray) -> ScoredTree:
     hist = fit_histogram(tree, data, fitcfg)
@@ -154,13 +173,77 @@ def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig,
                      workers: int = 1) -> list[ScoredTree]:
     """Fitness of every program, index-aligned with ``pop``.
 
-    Results are identical for any worker count; threads only split the work.
+    In fixed mode with fewer than 8 cells per bin table (``num_bin`` x
+    classes) the population is scored in batches, in this thread, with
+    histograms built only when read; numpy sums fewer than 8 terms in order,
+    so every fitness equals the per-program :func:`gini_fitness` bit for
+    bit.  Otherwise each program gets :func:`fit_histogram` and
+    :func:`gini_fitness`, split over ``workers`` threads; results are
+    identical for any worker count.
     """
     counts = data.class_counts()
+    if not fitcfg.float_resolution and fitcfg.num_bin * data.num_classes < 8:
+        return _score_batched(pop, data, fitcfg, counts)
     if workers <= 1 or len(pop) < 2:
         return [_score_one(t, data, fitcfg, counts) for t in pop]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda t: _score_one(t, data, fitcfg, counts), pop))
+
+
+def _score_batched(pop, data: LabeledDataset, fitcfg: FitnessConfig,
+                   class_counts: np.ndarray) -> list[ScoredTree]:
+    scored: list[ScoredTree] = []
+    step = max(1, BATCH_CELLS // data.n)
+    for start in range(0, len(pop), step):
+        chunk = pop[start:start + step]
+        outputs = np.empty((len(chunk), data.n))
+        for i, tree in enumerate(chunk):
+            outputs[i] = eval_batch(tree, data.records)
+        for tree, fit in zip(chunk, _fixed_fitness(outputs, data.labels, class_counts, fitcfg)):
+            if np.isnan(fit):
+                scored.append(_score_one(tree, data, fitcfg, class_counts))
+            else:
+                scored.append(ScoredTree(tree, float(fit),
+                                         functools.partial(fit_histogram, tree, data, fitcfg)))
+    return scored
+
+
+def _fixed_fitness(outputs: np.ndarray, labels: np.ndarray, class_counts: np.ndarray,
+                   fitcfg: FitnessConfig) -> np.ndarray:
+    """:func:`gini_fitness` of each row's fixed-mode histogram, from a
+    (programs, records) output matrix that is overwritten.
+
+    Keys come from the float64 operations :func:`locate_bins` uses, and the
+    Gini terms are summed over every bin in key order, empty bins adding 0.
+    A row whose range overflows or underflows float64, so that a key would
+    be NaN, reads NaN: only the per-program path reproduces that case.
+    """
+    P, n = outputs.shape
+    nb, C = fitcfg.num_bin, class_counts.size
+    lo, hi = outputs.min(axis=1), outputs.max(axis=1)
+    idx = outputs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        idx -= lo[:, None]
+        idx /= ((hi - lo) / nb)[:, None]
+    np.floor(idx, out=idx)
+    idx[hi <= lo] = 0.0
+    odd = np.isnan(idx).any(axis=1)
+    idx[odd] = 0.0
+    np.clip(idx, 0, nb - 1, out=idx)
+    cells = idx.astype(np.int64)
+    cells += (np.arange(P) * nb)[:, None]
+    cells *= C
+    cells += labels
+    counts = np.bincount(cells.ravel(), minlength=P * nb * C).reshape(P, nb, C)
+    inst = class_counts.astype(np.float64)
+    active = inst > 0
+    totals = counts.sum(axis=2).astype(np.float64)
+    occupied = totals > 0
+    frac = counts[:, :, active] / (np.where(occupied, totals, 1.0)[:, :, None] * inst[active])
+    gini = (frac * frac * inst[active]).reshape(P, -1).sum(axis=1)
+    fitness = gini + fitcfg.alpha * (occupied.sum(axis=1) / min(nb, n))
+    fitness[odd] = np.nan
+    return fitness
 
 
 def _rank(scored: list[ScoredTree]) -> tuple[ScoredTree, ...]:
@@ -171,14 +254,22 @@ def _rank(scored: list[ScoredTree]) -> tuple[ScoredTree, ...]:
 
 
 def evolve_generation(pop, data: LabeledDataset, cfg: TrainerConfig,
-                      stream: RngStream) -> GenerationResult:
+                      stream: RngStream, carried=()) -> GenerationResult:
     """One generation: score, rank, keep the top ``gap``, refill by breeding.
+
+    ``carried`` holds the already scored leading programs of ``pop``: the
+    previous generation's survivors (``ranked[:gap]``) on the same ``data``.
+    Only the rest of ``pop`` is scored; the ranking sees the same programs
+    in the same order either way.
 
     Each offspring slot k draws from its own child stream ``stream.child(k)``:
     a uniform parent from the survivor pool, one grow step, then parameter
     mutation.  The bred population is the survivors followed by offspring.
     """
-    scored = score_population(pop, data, cfg.fitness_config(), cfg.workers)
+    if any(s.tree is not t for s, t in zip(carried, pop)) or len(carried) > len(pop):
+        raise ValueError("carried programs must be the leading programs of pop")
+    scored = list(carried) + score_population(pop[len(carried):], data,
+                                              cfg.fitness_config(), cfg.workers)
     ranked = _rank(scored)
     survivors = [s.tree for s in ranked[:cfg.gap]]
     offspring = []
@@ -273,13 +364,13 @@ def train(data: LabeledDataset, cfg: TrainerConfig) -> EnsembleStack:
         pop: tuple[ProgramTree, ...] = tuple(
             init_stump(data.d, epoch.child(0, i).generator())
             for i in range(cfg.new_pop_size))
-        champion = None
+        champion, carried = None, ()
         for j in range(1, cfg.max_gp_epoch + 1):
-            result = evolve_generation(pop, residual, cfg, epoch.child(j))
+            result = evolve_generation(pop, residual, cfg, epoch.child(j), carried=carried)
             champion = find_champion(result.ranked, cfg.gap, best_fit, cfg.beta, b)
             if champion is not None:
                 break
-            pop = result.next_pop
+            pop, carried = result.next_pop, result.ranked[:cfg.gap]
         log.epoch_seconds.append(time.perf_counter() - t_epoch)
         if champion is None:
             log.stalled = True

@@ -265,6 +265,35 @@ class TestSplitCommand:
         out = capsys.readouterr().out
         assert "train" in out and "test" in out
 
+    def test_oversized_quoted_cell_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        rows = [f"{i},{'x' if i % 2 else 'y'}" for i in range(6)]
+        rows[3] = '3,"' + "z" * 200_000 + '"'
+        src.write_text("a,class\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        rc = main(["split", "--data", str(src), "--out", str(tmp_path / "part")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(src) in err[0] and "row 4" in err[0] and "field larger" in err[0]
+
+    def test_bom_header_label_by_name(self, tmp_path, capsys):
+        src = tmp_path / "bom.csv"
+        rows = [f"{'x' if i % 2 else 'y'},{i}" for i in range(8)]
+        src.write_text("\ufeffclass,a\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        rc = main(["split", "--data", str(src), "--label-col", "class",
+                   "--out", str(tmp_path / "part")])
+        assert rc == 0
+        part = load_csv(str(tmp_path / "part_train.csv"), "class")
+        assert part.columns == ("a",) and part.classes == ("x", "y")
+
+    def test_non_utf8_file_names_the_path(self, tmp_path, capsys):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes("a,class\n1,caf\u00e9\n2,x\n".encode("latin-1"))
+        rc = main(["split", "--data", str(src), "--out", str(tmp_path / "part")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: not UTF-8 text") and "0xe9" in err
+
     def test_split_deterministic(self, tmp_path):
         data = random_dataset(np.random.default_rng(3), n=40, d=2)
         src = tmp_path / "all.csv"

@@ -150,6 +150,25 @@ class TestCorruptInput:
         with pytest.raises(ModelFormatError, match=f"line {idx + 1}: geometry mode"):
             loads("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("kind", ["pure", "ambig"])
+    def test_fixed_rep_must_match_key(self, kind):
+        lines = dumps(trained_stack(0)).splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith(f"{kind} "))
+        parts = lines[idx].split(" ")
+        parts[2] = repr(float(np.nextafter(float(parts[2]), np.inf)))
+        lines[idx] = " ".join(parts)
+        with pytest.raises(ModelFormatError, match=f"line {idx + 1}: bin rep .* disagrees"):
+            loads("\n".join(lines) + "\n")
+
+    def test_fixed_key_beyond_int64_rejected(self):
+        lines = dumps(trained_stack(0)).splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("pure "))
+        parts = lines[idx].split(" ")
+        parts[1] = str(2 ** 70)
+        lines[idx] = " ".join(parts)
+        with pytest.raises(ModelFormatError, match=f"line {idx + 1}: bin key .* out of range"):
+            loads("\n".join(lines) + "\n")
+
     @staticmethod
     def bin_lines(text, kind):
         """Lines of the first entry with at least two ``kind`` bins, and the
