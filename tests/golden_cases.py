@@ -12,6 +12,14 @@ made with.  The CSVs are inputs and are never regenerated;
 parts of one UCI-sized 500 x 30 set drawn with the benchmark's recipe
 (``perfbench/gen.py``, ``uci_sized(500, 30, [0, 0])``); its case trains a
 stack of up to 10 levels, as the benchmark's uci workload does.
+``rounded_train.csv``/``rounded_holdout.csv`` are the ``gpstack split
+--seed 0`` parts of a 600-record set drawn with ``np.random.default_rng(4)``:
+270 ``pos`` and 330 ``neg`` labels, shuffled; attributes 0 and 1 normal with
+mean +0.4 and -0.4 times the class sign and unit spread, rounded to one
+decimal (so ``-0.0`` occurs); attributes 2 and 3 integers 0-3 of noise.
+Its float32 stacks are 3 and 4 levels deep, and their holdout answers
+include exact pure-bin hits, ambiguous pass-downs and nearest-pure answers
+below level 1.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ NUMPY_VERSION_FILE = os.path.join(GOLDEN_DIR, "numpy_version.txt")
 
 SMALL = ("train.csv", "holdout.csv")
 UCI = ("uci_train.csv", "uci_holdout.csv")
+ROUNDED = ("rounded_train.csv", "rounded_holdout.csv")
 
 # case name -> ((train CSV, holdout CSV), train flags besides --data/--model)
 CASES = {
@@ -36,6 +45,8 @@ CASES = {
     "float32_seed0": (SMALL, ("--preset", "large-fast", "--seed", "0")),
     "float32_seed1": (SMALL, ("--preset", "large-fast", "--seed", "1")),
     "uci_fixed_seed0": (UCI, ("--preset", "small-fast", "--boost-epochs", "10", "--seed", "0")),
+    "rounded_float32_seed0": (ROUNDED, ("--preset", "large-fast", "--seed", "0")),
+    "rounded_float32_seed1": (ROUNDED, ("--preset", "large-fast", "--seed", "1")),
 }
 
 
