@@ -5,9 +5,9 @@ Train with :func:`train`, persist with :func:`save_model` /
 :func:`predict_record`.  The command line lives in :mod:`gpstack.cli`.
 """
 
-from .binning import (AmbiguousBin, BinHistogram, BinStats, BinType, FitnessConfig,
-                      IntervalGeometry, PureBin, bin_table, classify_bin,
-                      fit_histogram, gini_fitness, locate_bins, nearest_pure_bin)
+from .binning import (AmbiguousBin, BinHistogram, FitnessConfig, IntervalGeometry,
+                      LevelLookup, PureBin, bin_table, fit_histogram, gini_fitness,
+                      locate_bins, nearest_pure_bin)
 from .dataset import (DatasetError, LabeledDataset, SplitSpec, load_csv,
                       remove_records, stratified_split, write_csv)
 from .evaluation import (EvalReport, PredictionTrace, UsageReport, evaluate,
@@ -23,12 +23,12 @@ from .training import (ChampionEntry, EnsembleStack, GenerationResult, PRESETS,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousBin", "Attribute", "BinHistogram", "BinStats", "BinType",
-    "ChampionEntry", "Constant", "DatasetError", "EnsembleStack", "EvalReport",
-    "FitnessConfig", "GenerationResult", "IntervalGeometry", "LabeledDataset",
+    "AmbiguousBin", "Attribute", "BinHistogram", "ChampionEntry", "Constant",
+    "DatasetError", "EnsembleStack", "EvalReport", "FitnessConfig",
+    "GenerationResult", "IntervalGeometry", "LabeledDataset", "LevelLookup",
     "ModelFormatError", "Operator", "PRESETS", "PredictionTrace", "ProgramTree",
     "PureBin", "RngStream", "ScoredTree", "SplitSpec", "TrainerConfig",
-    "TrainingLog", "UsageReport", "bin_table", "classify_bin", "eval_batch",
+    "TrainingLog", "UsageReport", "bin_table", "eval_batch",
     "eval_record", "evaluate", "evolve_generation", "extract_residual",
     "find_champion", "fit_histogram", "format_tree", "gini_fitness",
     "grow_clone", "init_stump", "load_csv", "load_model", "locate_bins",

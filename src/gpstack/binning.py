@@ -12,11 +12,14 @@ it is.  Two geometries exist:
 
 Histograms store occupied bins only, in ascending order of representative
 value.  Empty bins are implicit.
+
+Every value-to-bin decision lives here: :func:`float32_values` is the one
+-0.0 normalisation, :func:`fixed_keys` the one fixed-mode key computation,
+and :class:`LevelLookup` the one per-level answer rule of a deployed stack.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +28,6 @@ from .dataset import LabeledDataset
 from .programs import ProgramTree, eval_batch
 
 FLOAT32_CAPACITY = 2 ** 32
-
-
-class BinType(enum.Enum):
-    EMPTY = "empty"
-    PURE = "pure"
-    AMBIGUOUS = "ambiguous"
 
 
 @dataclass(frozen=True)
@@ -83,27 +80,6 @@ class FitnessConfig:
 
 
 @dataclass(frozen=True)
-class BinStats:
-    """Per-class counts of one bin."""
-
-    key: int
-    rep: float
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def majority_class(self) -> int:
-        return int(np.argmax(self.counts))
-
-    @property
-    def y_star(self) -> int:
-        return max(self.counts)
-
-
-@dataclass(frozen=True)
 class PureBin:
     key: int
     rep: float
@@ -139,33 +115,64 @@ class BinHistogram:
     def used_bins(self) -> int:
         return int(self.keys.size)
 
-    def bin_stats(self, position: int) -> BinStats:
-        """Stats of the occupied bin at ``position`` (rep order)."""
-        return BinStats(int(self.keys[position]), float(self.reps[position]),
-                        tuple(int(c) for c in self.counts[position]))
 
-    def record_keys(self) -> np.ndarray:
-        """Bin key of every record, in record order."""
-        return self.keys[self.record_inverse]
+def float32_values(values: np.ndarray) -> np.ndarray:
+    """Outputs rounded to single precision, with -0.0 normalized to +0.0.
+
+    Outputs beyond the float32 range round to +-inf, which is a bin like any
+    other."""
+    with np.errstate(over="ignore"):
+        v = np.asarray(values, dtype=np.float64).astype(np.float32)
+    v[v == 0] = np.float32(0.0)
+    return v
+
+
+def fixed_keys(outputs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               num_bin: int) -> np.ndarray:
+    """Fixed-mode bin keys of a (rows, n) float64 output matrix, as int64.
+
+    Row r is binned into ``num_bin`` equal intervals of [lo[r], hi[r]];
+    values outside the range clamp into the edge bins, and a row with
+    hi <= lo keys everything 0.  ``outputs`` is overwritten.  Where float64
+    cannot hold a row's interval width, because hi - lo overflows or the
+    width underflows to 0, the row is keyed from halved values or from its
+    share of hi - lo instead, so every key of a finite output lies in
+    [0, num_bin).
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        span = hi - lo
+        width = span / num_bin
+        redo = []
+        if np.count_nonzero((width > 0) & (width < np.inf)) < width.size:
+            wide, thin = np.isinf(span), (span > 0) & (width == 0)
+            if wide.any():
+                halves = outputs[wide] / 2 - (lo[wide] / 2)[:, None]
+                redo.append((wide, halves / ((hi[wide] / 2 - lo[wide] / 2) / num_bin)[:, None]))
+            if thin.any():
+                redo.append((thin, (outputs[thin] - lo[thin, None]) / span[thin, None] * num_bin))
+            redo.append((hi <= lo, 0.0))
+        outputs -= lo[:, None]
+        outputs /= width[:, None]
+        for rows, scaled in redo:
+            outputs[rows] = scaled
+    np.floor(outputs, out=outputs)
+    np.maximum(outputs, 0, out=outputs)  # np.clip, minus its Python overhead
+    np.minimum(outputs, num_bin - 1, out=outputs)
+    return outputs.astype(np.int64)
 
 
 def locate_bins(geom: IntervalGeometry, values: np.ndarray) -> np.ndarray:
     """Bin key for each output value under ``geom``, as int64.
 
-    Fixed mode clamps out-of-range values into the edge bins, so keys are
-    always valid even for outputs never seen at fit time.  A degenerate
-    range (hi == lo) puts everything in bin 0.  Float32 mode returns the bit
-    pattern of the single-precision value, with -0.0 normalized to +0.0.
+    Fixed mode keys by :func:`fixed_keys`, so keys are always valid even for
+    outputs never seen at fit time.  Float32 mode returns the bit pattern of
+    the single-precision value, with -0.0 normalized to +0.0.
     """
     values = np.asarray(values, dtype=np.float64)
     if geom.mode == "fixed":
-        if geom.hi <= geom.lo:
-            return np.zeros(values.shape, dtype=np.int64)
-        idx = np.floor((values - geom.lo) / geom.width)
-        return np.clip(idx, 0, geom.num_bin - 1).astype(np.int64)
-    v = values.astype(np.float32)
-    v[v == 0] = np.float32(0.0)
-    return v.view(np.uint32).astype(np.int64)
+        return fixed_keys(np.array(values, ndmin=2), np.array([geom.lo]),
+                          np.array([geom.hi]), geom.num_bin).reshape(values.shape)
+    return float32_values(values).view(np.uint32).astype(np.int64)
 
 
 def key_reps(geom: IntervalGeometry, keys: np.ndarray) -> np.ndarray:
@@ -193,9 +200,7 @@ def fit_histogram(tree: ProgramTree, data: LabeledDataset, cfg: FitnessConfig) -
     lo, hi = float(y.min()), float(y.max())
     if cfg.float_resolution:
         geom = IntervalGeometry("float32", lo, hi, FLOAT32_CAPACITY)
-        v = y.astype(np.float32)
-        v[v == 0] = np.float32(0.0)
-        vals, inverse = np.unique(v, return_inverse=True)
+        vals, inverse = np.unique(float32_values(y), return_inverse=True)
         reps = vals.astype(np.float64)
         keys = vals.view(np.uint32).astype(np.int64)
     else:
@@ -210,29 +215,11 @@ def fit_histogram(tree: ProgramTree, data: LabeledDataset, cfg: FitnessConfig) -
                         inverse.astype(np.int32), data.n, C)
 
 
-def classify_bin(stats: BinStats, beta: float) -> BinType:
-    """Empty, pure, or ambiguous: pure means the majority class holds at
-    least a ``beta`` fraction of the bin's records."""
-    if stats.total == 0:
-        return BinType.EMPTY
-    if stats.y_star / stats.total >= beta:
-        return BinType.PURE
-    return BinType.AMBIGUOUS
-
-
-def pure_mask(hist: BinHistogram, beta: float) -> np.ndarray:
-    """Boolean mask over occupied bins: True where the bin is pure.
-
-    Uses the same division test as :func:`classify_bin` so the two never
-    disagree on borderline bins.
-    """
-    totals = hist.counts.sum(axis=1)
-    y_star = hist.counts.max(axis=1)
-    return y_star / totals >= beta
-
-
 def bin_table(hist: BinHistogram, beta: float) -> tuple[tuple[PureBin, ...], tuple[AmbiguousBin, ...]]:
-    """Split occupied bins into the pure and ambiguous tables, rep order."""
+    """Split occupied bins into the pure and ambiguous tables, rep order.
+
+    A bin is pure when its majority class holds at least a ``beta`` fraction
+    of its records; majority ties go to the lower class."""
     totals = hist.counts.sum(axis=1)
     y_star = hist.counts.max(axis=1)
     labels = hist.counts.argmax(axis=1)
@@ -307,8 +294,57 @@ def match_positions(sorted_vals: np.ndarray, queries: np.ndarray) -> tuple[np.nd
 
     Returns (found mask, position of the match where found).
     """
-    pos = np.searchsorted(sorted_vals, queries)
-    pos_c = np.clip(pos, 0, sorted_vals.size - 1)
-    found = (pos < sorted_vals.size) & (sorted_vals[pos_c] == queries) if sorted_vals.size \
+    pos = np.minimum(np.searchsorted(sorted_vals, queries), sorted_vals.size - 1)
+    found = sorted_vals[pos] == queries if sorted_vals.size \
         else np.zeros(queries.shape, dtype=bool)
-    return found, pos_c
+    return found, pos
+
+
+@dataclass(frozen=True)
+class LevelLookup:
+    """One stack level's answer rule, compiled from its frozen bin tables.
+
+    ``pure`` and ``ambiguous`` hold the values the rule searches, ascending:
+    bin keys in fixed mode, representatives in float32 mode.  ``labels``
+    is aligned with ``pure``.
+    """
+
+    geometry: IntervalGeometry
+    pure: np.ndarray
+    labels: np.ndarray
+    ambiguous: np.ndarray
+
+    @classmethod
+    def compile(cls, geometry: IntervalGeometry, pure_bins, ambiguous_bins) -> LevelLookup:
+        """Lookup of a level whose bins are in ascending search value."""
+        fixed = geometry.mode == "fixed"
+
+        def search(bins):
+            return np.array([b.key if fixed else b.rep for b in bins],
+                            dtype=np.int64 if fixed else np.float64)
+        return cls(geometry, search(pure_bins),
+                   np.array([b.label for b in pure_bins], dtype=np.int64),
+                   search(ambiguous_bins))
+
+    def answer(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which program outputs this level answers, and with which label.
+
+        An output in a pure bin is answered with that bin's label.  In fixed
+        mode every other output passes down.  In float32 mode an output in
+        an ambiguous bin passes down, and an output in no stored bin (never
+        seen at fit time) is answered by the nearest pure bin, ties to the
+        lower representative.  Returns (answered mask, label per output,
+        valid where answered).
+        """
+        if not self.pure.size:
+            return np.zeros(y.shape, dtype=bool), np.zeros(y.shape, dtype=np.int64)
+        if self.geometry.mode == "fixed":
+            queries = locate_bins(self.geometry, y)
+        else:
+            queries = float32_values(y).astype(np.float64)
+        answered, pos = match_positions(self.pure, queries)
+        if self.geometry.mode == "float32":
+            unseen = ~answered & ~match_positions(self.ambiguous, queries)[0]
+            pos[unseen] = nearest_positions(self.pure, queries[unseen])
+            answered |= unseen
+        return answered, self.labels[pos]

@@ -1,13 +1,17 @@
 """Deploying a trained stack on records and measuring accuracy.
 
 Records enter at the first stack level.  Each level runs its program and
-looks the output up in the bin tables frozen at training time.  Fixed-mode
-levels answer when the record lands in a pure bin and otherwise pass it
-down.  Float32-resolution levels answer on an exact pure-bin hit, pass the
-record down on an exact ambiguous-bin hit, and otherwise (an output never
-seen at training time) answer with the nearest pure bin by representative
-value.  A record no level answers is predicted as the training majority
-class; that fallback is counted separately from the stack's own answers.
+looks the output up in the bin tables frozen at training time, through the
+level's one compiled lookup (``ChampionEntry.lookup``, a
+:class:`~gpstack.binning.LevelLookup`).  Fixed-mode levels answer when the
+record lands in a pure bin and otherwise pass it down.  Float32-resolution
+levels answer on an exact pure-bin hit, pass the record down on an exact
+ambiguous-bin hit, and otherwise (an output never seen at training time)
+answer with the nearest pure bin by representative value.  A record no
+level answers is predicted as the training majority class; that fallback is
+counted separately from the stack's own answers.  :func:`predict_record`
+applies the same rule with its own scalar loops, as an independent
+reference.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import locate_bins, match_positions, nearest_positions, nearest_pure_bin
+from .binning import float32_values, locate_bins, nearest_pure_bin
 from .dataset import DatasetError, LabeledDataset
 from .programs import eval_batch, eval_record
-from .training import EnsembleStack, pure_bin_hits
+from .training import EnsembleStack
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,6 @@ def _resolve_depth(stack: EnsembleStack, stack_depth: int | None) -> int:
     return stack_depth
 
 
-def _float32_values(y: np.ndarray) -> np.ndarray:
-    v = y.astype(np.float32)
-    v[v == 0] = np.float32(0.0)
-    return v.astype(np.float64)
-
-
 def _labels_by_name(data: LabeledDataset, classes: tuple[str, ...]) -> np.ndarray:
     """``data.labels`` encoded as positions in ``classes``, matched by name.
 
@@ -119,7 +117,7 @@ def predict_record(stack: EnsembleStack, record: np.ndarray,
                 if b.key == key:
                     return PredictionTrace(b.label, level, False)
         else:
-            v = float(_float32_values(np.array([y]))[0])
+            v = float(float32_values(np.array([y]))[0])
             for b in entry.pure_bins:
                 if b.rep == v:
                     return PredictionTrace(b.label, level, False)
@@ -158,20 +156,7 @@ def evaluate(stack: EnsembleStack, data: LabeledDataset,
         if remaining.size == 0:
             per_level_counts.append(0)
             continue
-        y = eval_batch(entry.tree, data.records[remaining])
-        hit, labels = pure_bin_hits(entry.geometry, entry.pure_bins, y)
-        if entry.geometry.mode == "float32" and entry.pure_bins:
-            v = _float32_values(y)
-            amb_reps = np.array([b.rep for b in entry.ambiguous_bins], dtype=np.float64)
-            amb_hit, _ = match_positions(amb_reps, v)
-            unseen = ~hit & ~amb_hit
-            if unseen.any():
-                reps = np.array([b.rep for b in entry.pure_bins], dtype=np.float64)
-                pure_labels = np.array([b.label for b in entry.pure_bins], dtype=np.int64)
-                nearest = nearest_positions(reps, v[unseen])
-                labels = labels.copy()
-                labels[unseen] = pure_labels[nearest]
-                hit = hit | unseen
+        hit, labels = entry.lookup.answer(eval_batch(entry.tree, data.records[remaining]))
         answered = remaining[hit]
         pred[answered] = labels[hit]
         level_of[answered] = level

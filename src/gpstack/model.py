@@ -109,8 +109,9 @@ def loads(text: str) -> EnsembleStack:
     mode must equal ``mode``, its program may read only attributes below
     ``attributes``, and its pure and ambiguous bins must each be strictly
     ascending in the value the lookups search: the key in fixed mode, the
-    rep in float32 mode.  A fixed-mode bin's rep must be exactly the one
-    its key and the entry's geometry give.
+    rep in float32 mode.  A fixed-mode bin's key must lie in
+    ``[0, num_bin)`` and its rep must be exactly the one its key and the
+    entry's geometry give.
     Errors name the offending line.
     """
     cur = _Cursor(text)
@@ -244,6 +245,8 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> 
 
 
 def _check_fixed_rep(cur: _Cursor, geometry: IntervalGeometry, b) -> None:
+    if not 0 <= b.key < geometry.num_bin:
+        cur.fail(f"bin key {b.key} out of range [0, {geometry.num_bin})")
     try:
         rep = float(key_reps(geometry, b.key))
     except OverflowError:

@@ -4,8 +4,10 @@ Training runs in boost epochs.  Each epoch evolves a fresh population of
 programs against the current residual dataset, picks the first
 sufficiently fit program whose histogram has at least one pure bin (the
 champion), pushes it onto the stack, and removes every record that landed
-in one of its pure bins.  The next epoch only ever sees the leftovers, so
-later programs specialize on what earlier ones could not separate.
+in one of its pure bins: the records its compiled lookup
+(``ChampionEntry.lookup``, the one answer rule deployment uses) answers.
+The next epoch only ever sees the leftovers, so later programs specialize
+on what earlier ones could not separate.
 
 The fitness bar ratchets: a champion must score strictly above the best
 champion fitness seen so far in the run.  An epoch that produces no
@@ -23,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .binning import (AmbiguousBin, BinHistogram, FitnessConfig, IntervalGeometry,
-                      PureBin, bin_table, fit_histogram, gini_fitness, locate_bins,
-                      match_positions)
+                      LevelLookup, PureBin, bin_table, fit_histogram, fixed_keys,
+                      gini_fitness)
 from .dataset import LabeledDataset, remove_records
 from .programs import ProgramTree, RngStream, eval_batch, grow_clone, init_stump, mutate_params
 
@@ -87,6 +89,8 @@ class ChampionEntry:
     """One stack level: a program plus the frozen bin tables it answers with.
 
     ``records_claimed`` is filled in when the residual is extracted.
+    ``lookup`` is compiled from the bin tables on first use and never
+    serialized.
     """
 
     tree: ProgramTree
@@ -97,6 +101,10 @@ class ChampionEntry:
     beta: float
     boost_epoch: int
     records_claimed: int = 0
+
+    @functools.cached_property
+    def lookup(self) -> LevelLookup:
+        return LevelLookup.compile(self.geometry, self.pure_bins, self.ambiguous_bins)
 
 
 @dataclass(frozen=True)
@@ -200,11 +208,8 @@ def _score_batched(pop, data: LabeledDataset, fitcfg: FitnessConfig,
         for i, tree in enumerate(chunk):
             outputs[i] = eval_batch(tree, data.records)
         for tree, fit in zip(chunk, _fixed_fitness(outputs, data.labels, class_counts, fitcfg)):
-            if np.isnan(fit):
-                scored.append(_score_one(tree, data, fitcfg, class_counts))
-            else:
-                scored.append(ScoredTree(tree, float(fit),
-                                         functools.partial(fit_histogram, tree, data, fitcfg)))
+            scored.append(ScoredTree(tree, float(fit),
+                                     functools.partial(fit_histogram, tree, data, fitcfg)))
     return scored
 
 
@@ -213,24 +218,12 @@ def _fixed_fitness(outputs: np.ndarray, labels: np.ndarray, class_counts: np.nda
     """:func:`gini_fitness` of each row's fixed-mode histogram, from a
     (programs, records) output matrix that is overwritten.
 
-    Keys come from the float64 operations :func:`locate_bins` uses, and the
+    Keys come from :func:`fixed_keys`, as in :func:`fit_histogram`, and the
     Gini terms are summed over every bin in key order, empty bins adding 0.
-    A row whose range overflows or underflows float64, so that a key would
-    be NaN, reads NaN: only the per-program path reproduces that case.
     """
     P, n = outputs.shape
     nb, C = fitcfg.num_bin, class_counts.size
-    lo, hi = outputs.min(axis=1), outputs.max(axis=1)
-    idx = outputs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        idx -= lo[:, None]
-        idx /= ((hi - lo) / nb)[:, None]
-    np.floor(idx, out=idx)
-    idx[hi <= lo] = 0.0
-    odd = np.isnan(idx).any(axis=1)
-    idx[odd] = 0.0
-    np.clip(idx, 0, nb - 1, out=idx)
-    cells = idx.astype(np.int64)
+    cells = fixed_keys(outputs, outputs.min(axis=1), outputs.max(axis=1), nb)
     cells += (np.arange(P) * nb)[:, None]
     cells *= C
     cells += labels
@@ -241,9 +234,7 @@ def _fixed_fitness(outputs: np.ndarray, labels: np.ndarray, class_counts: np.nda
     occupied = totals > 0
     frac = counts[:, :, active] / (np.where(occupied, totals, 1.0)[:, :, None] * inst[active])
     gini = (frac * frac * inst[active]).reshape(P, -1).sum(axis=1)
-    fitness = gini + fitcfg.alpha * (occupied.sum(axis=1) / min(nb, n))
-    fitness[odd] = np.nan
-    return fitness
+    return gini + fitcfg.alpha * (occupied.sum(axis=1) / min(nb, n))
 
 
 def _rank(scored: list[ScoredTree]) -> tuple[ScoredTree, ...]:
@@ -299,41 +290,18 @@ def find_champion(ranked, gap: int, best_fit: float, beta: float,
     return None
 
 
-def pure_bin_hits(geometry: IntervalGeometry, pure_bins, values: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Which output values land exactly in a pure bin, and that bin's label.
-
-    ``values`` are raw program outputs; returns (hit mask, label per value,
-    valid only where hit).  Pure bins must be in rep order, which makes the
-    fixed-mode keys and float32-mode reps both ascending.
-    """
-    if not pure_bins:
-        z = np.zeros(values.shape, dtype=bool)
-        return z, np.zeros(values.shape, dtype=np.int64)
-    labels = np.array([b.label for b in pure_bins], dtype=np.int64)
-    if geometry.mode == "fixed":
-        table = np.array([b.key for b in pure_bins], dtype=np.int64)
-        queries = locate_bins(geometry, values)
-    else:
-        table = np.array([b.rep for b in pure_bins], dtype=np.float64)
-        v = values.astype(np.float32)
-        v[v == 0] = np.float32(0.0)
-        queries = v.astype(np.float64)
-    found, pos = match_positions(table, queries)
-    return found, labels[pos]
-
-
 def extract_residual(champion: ChampionEntry, data: LabeledDataset
                      ) -> tuple[LabeledDataset | None, np.ndarray]:
     """Remove every record that falls in one of the champion's pure bins.
 
-    The champion's program is replayed on ``data`` with its frozen geometry,
-    so the records removed are exactly the ones its pure bins counted at fit
-    time, minority members included.  Sets ``champion.records_claimed`` and
-    returns (residual dataset or None when nothing is left, claimed indices).
+    The champion's program is replayed on ``data`` and answered by its
+    lookup.  On the data it was fitted on every output lands in a stored
+    bin, so the records removed are exactly the ones its pure bins counted
+    at fit time, minority members included.  Sets
+    ``champion.records_claimed`` and returns (residual dataset or None when
+    nothing is left, claimed indices).
     """
-    y = eval_batch(champion.tree, data.records)
-    hit, _ = pure_bin_hits(champion.geometry, champion.pure_bins, y)
+    hit, _ = champion.lookup.answer(eval_batch(champion.tree, data.records))
     claimed = np.flatnonzero(hit)
     champion.records_claimed = int(claimed.size)
     return remove_records(data, claimed), claimed

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import conftest
-from gpstack.binning import BinStats, BinType, FitnessConfig, classify_bin, \
-    fit_histogram, gini_fitness
+from gpstack.binning import (BinHistogram, FitnessConfig, IntervalGeometry, bin_table,
+                             fit_histogram, gini_fitness)
 from gpstack.dataset import SplitSpec, load_csv, stratified_split
 from gpstack.evaluation import evaluate, predict_record, stack_usage_report
 from gpstack.model import save_model
@@ -103,24 +103,38 @@ def test_fitness_matches_brute_force_oracle():
 
 # ---------------------------------------------------------------- check 2
 
+def oracle_is_pure(counts, beta) -> bool:
+    """Reference purity rule: the majority class holds at least ``beta`` of
+    a non-empty bin."""
+    return sum(counts) > 0 and max(counts) / sum(counts) >= beta
+
+
+def table_is_pure(counts, beta) -> bool:
+    """Whether :func:`bin_table` files one occupied bin of these counts as pure."""
+    n = sum(counts)
+    hist = BinHistogram(IntervalGeometry("fixed", 0.0, 1.0, 1), np.array([0]),
+                        np.array([0.5]), np.array([counts]), np.zeros(n, dtype=np.int32),
+                        n, len(counts))
+    return bool(bin_table(hist, beta)[0])
+
+
 def test_bin_purity_semantics():
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
     ok = True
     # pinned readings
-    ok &= classify_bin(BinStats(0, 0.0, (99, 1)), 0.99) is BinType.PURE
-    ok &= classify_bin(BinStats(0, 0.0, (1, 1)), 0.99) is BinType.AMBIGUOUS
+    ok &= table_is_pure((99, 1), 0.99) and oracle_is_pure((99, 1), 0.99)
+    ok &= not table_is_pure((1, 1), 0.99) and not oracle_is_pure((1, 1), 0.99)
     for _ in range(2000):
         counts = tuple(int(v) for v in rng.integers(0, 30, size=2))
         beta_lo, beta_hi = sorted(rng.uniform(0.01, 1.0, size=2))
-        t_lo = classify_bin(BinStats(0, 0.0, counts), beta_lo)
-        t_hi = classify_bin(BinStats(0, 0.0, counts), beta_hi)
-        if sum(counts) == 0:
-            ok &= t_lo is BinType.EMPTY and t_hi is BinType.EMPTY
-        else:
-            ok &= t_lo is not BinType.EMPTY and t_hi is not BinType.EMPTY
-            if t_hi is BinType.PURE:      # purity can only grow as beta drops
-                ok &= t_lo is BinType.PURE
+        if sum(counts) == 0:      # histograms store occupied bins only
+            ok &= not oracle_is_pure(counts, beta_lo)
+            continue
+        p_lo, p_hi = table_is_pure(counts, beta_lo), table_is_pure(counts, beta_hi)
+        ok &= p_lo == oracle_is_pure(counts, beta_lo) and p_hi == oracle_is_pure(counts, beta_hi)
+        if p_hi:      # purity can only grow as beta drops
+            ok &= p_lo
     elapsed = time.perf_counter() - t0
     report("bin purity semantics", ok and elapsed < 1.0,
            f"2000 random bins + pinned readings, {elapsed:.2f}s (budget 1s)")

@@ -143,8 +143,9 @@ def test_chunks_give_the_same_fitness(monkeypatch):
         == bits(s.fitness for s in single)
 
 
-# the per-program path itself warns of the NaN keys such ranges give
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# ranges float64 cannot split: the keys still lie in [0, num_bin), so the
+# batch scores them like any other row and nothing falls back or warns
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("classes", [("a", "b"), ("a", "b", "c")])
 @pytest.mark.parametrize("column", [
     [1e308, -1e308, 0.0, 1.0],        # hi - lo overflows to inf
@@ -157,8 +158,10 @@ def test_ranges_float64_cannot_split_fall_back(column, classes, histogram_calls)
     pop = [parse_tree("(attr 0)"), parse_tree("(attr 1)")]
     fitcfg = FitnessConfig(num_bin=2)
     scored = score_population(pop, data, fitcfg)
-    assert histogram_calls == pop[:1]
+    assert histogram_calls == []
     assert bits(s.fitness for s in scored) == bits(reference(pop, data, fitcfg))
+    keys = fit_histogram(pop[0], data, fitcfg).keys
+    assert keys.tolist() == [0, 1]
 
 
 def test_empty_population():
@@ -228,8 +231,6 @@ def test_training_bytes_equal_the_per_program_path(seed, monkeypatch):
     cfg = TrainerConfig(max_boost_epoch=12, max_gp_epoch=8, new_pop_size=14, gap=5,
                         beta=0.9, seed=seed)
     batched = dumps(train(data, cfg))
-    # every batched fitness reads NaN, which sends every program down the
-    # per-program path
-    monkeypatch.setattr(training, "_fixed_fitness",
-                        lambda outputs, *rest: np.full(outputs.shape[0], np.nan))
+    monkeypatch.setattr(training, "_score_batched", lambda pop, data, fitcfg, counts: [
+        training._score_one(t, data, fitcfg, counts) for t in pop])
     assert dumps(train(data, cfg)) == batched

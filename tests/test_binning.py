@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from gpstack.binning import (BinStats, BinType, FitnessConfig, IntervalGeometry,
-                             bin_table, classify_bin, fit_histogram, gini_fitness,
-                             key_reps, locate_bins, nearest_pure_bin, pure_mask)
+from gpstack.binning import (BinHistogram, FitnessConfig, IntervalGeometry, bin_table,
+                             fit_histogram, gini_fitness, key_reps, locate_bins,
+                             nearest_pure_bin)
 from gpstack.dataset import LabeledDataset
 from gpstack.programs import parse_tree
 
@@ -31,7 +31,7 @@ class TestFixedGeometry:
     def test_max_value_lands_in_top_bin(self):
         data = one_col([0.0, 1.0], [0, 1])
         hist = fit_histogram(IDENT, data, FitnessConfig(num_bin=4))
-        assert hist.record_keys().tolist() == [0, 3]
+        assert hist.keys[hist.record_inverse].tolist() == [0, 3]
 
     def test_degenerate_range_single_bin(self):
         data = one_col([2.5, 2.5, 2.5], [0, 0, 1])
@@ -99,44 +99,68 @@ class TestFloat32Geometry:
             assert hist.counts.sum() == data.n
 
 
+def purity(counts, beta):
+    """Oracle of the purity rule: a bin is pure when its majority class holds
+    at least a ``beta`` fraction of its records."""
+    total = sum(counts)
+    if total == 0:
+        return "empty"
+    return "pure" if max(counts) / total >= beta else "ambiguous"
+
+
+def table_purity(counts, beta):
+    """How :func:`bin_table` reads one occupied bin with these class counts."""
+    n = sum(counts)
+    hist = BinHistogram(IntervalGeometry("fixed", 0.0, 1.0, 1), np.array([0]),
+                        np.array([0.5]), np.array([counts]), np.zeros(n, dtype=np.int32),
+                        n, len(counts))
+    pure, ambiguous = bin_table(hist, beta)
+    assert len(pure) + len(ambiguous) == 1
+    return "pure" if pure else "ambiguous"
+
+
 class TestClassifyBin:
     def test_pure_at_ninety_nine(self):
-        stats = BinStats(0, 0.0, (99, 1))
-        assert classify_bin(stats, 0.99) is BinType.PURE
+        assert purity((99, 1), 0.99) == table_purity((99, 1), 0.99) == "pure"
 
     def test_fifty_fifty_is_ambiguous(self):
-        stats = BinStats(0, 0.0, (1, 1))
-        assert classify_bin(stats, 0.99) is BinType.AMBIGUOUS
+        assert purity((1, 1), 0.99) == table_purity((1, 1), 0.99) == "ambiguous"
 
     def test_empty(self):
-        assert classify_bin(BinStats(0, 0.0, (0, 0)), 0.5) is BinType.EMPTY
+        assert purity((0, 0), 0.5) == "empty"
+        # histograms store occupied bins only, so bin_table never sees one
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            hist = fit_histogram(IDENT, random_dataset(rng), FitnessConfig(num_bin=8))
+            assert np.all(hist.counts.sum(axis=1) > 0)
 
     def test_exact_threshold_is_pure(self):
-        assert classify_bin(BinStats(0, 0.0, (3, 1)), 0.75) is BinType.PURE
-        assert classify_bin(BinStats(0, 0.0, (1, 1)), 0.5) is BinType.PURE
+        assert purity((3, 1), 0.75) == table_purity((3, 1), 0.75) == "pure"
+        assert purity((1, 1), 0.5) == table_purity((1, 1), 0.5) == "pure"
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
             counts = tuple(int(v) for v in rng.integers(0, 20, size=2))
             b1, b2 = sorted(rng.uniform(0.01, 1.0, size=2))
-            t1 = classify_bin(BinStats(0, 0.0, counts), b1)
-            t2 = classify_bin(BinStats(0, 0.0, counts), b2)
-            if t2 is BinType.PURE:
-                assert t1 is BinType.PURE
             if sum(counts) == 0:
-                assert t1 is BinType.EMPTY and t2 is BinType.EMPTY
+                assert purity(counts, b1) == purity(counts, b2) == "empty"
+                continue
+            if table_purity(counts, b2) == "pure":
+                assert table_purity(counts, b1) == "pure"
 
-    def test_pure_mask_agrees_with_classify(self):
+    def test_bin_table_agrees_with_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             data = random_dataset(rng)
             beta = float(rng.uniform(0.4, 1.0))
             hist = fit_histogram(IDENT, data, FitnessConfig(num_bin=4))
-            mask = pure_mask(hist, beta)
+            pure, ambiguous = bin_table(hist, beta)
+            pure_keys = {b.key for b in pure}
+            assert pure_keys.isdisjoint(b.key for b in ambiguous)
             for i in range(hist.used_bins):
-                expected = classify_bin(hist.bin_stats(i), beta) is BinType.PURE
-                assert mask[i] == expected
+                expected = purity(tuple(hist.counts[i].tolist()), beta)
+                assert (int(hist.keys[i]) in pure_keys) == (expected == "pure")
 
 
 class TestBinTable:

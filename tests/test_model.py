@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gpstack.binning import IntervalGeometry, key_reps
 from gpstack.dataset import LabeledDataset
 from gpstack.model import MAGIC, ModelFormatError, dumps, load_model, loads, save_model
 from gpstack.training import TrainerConfig, train
@@ -167,6 +168,20 @@ class TestCorruptInput:
         parts[1] = str(2 ** 70)
         lines[idx] = " ".join(parts)
         with pytest.raises(ModelFormatError, match=f"line {idx + 1}: bin key .* out of range"):
+            loads("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("key", [-1, 2, -2 ** 63])
+    def test_fixed_key_outside_num_bin_rejected(self, key):
+        lines = dumps(trained_stack(0)).splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("pure "))
+        geometry = next(l for l in reversed(lines[:idx]) if l.startswith("geometry ")).split(" ")
+        geom = IntervalGeometry("fixed", float(geometry[2]), float(geometry[3]), int(geometry[4]))
+        assert geom.num_bin == 2
+        parts = lines[idx].split(" ")
+        parts[1], parts[2] = str(key), repr(float(key_reps(geom, key)))  # a rep that agrees
+        lines[idx] = " ".join(parts)
+        with pytest.raises(ModelFormatError,
+                           match=rf"line {idx + 1}: bin key {key} out of range \[0, 2\)"):
             loads("\n".join(lines) + "\n")
 
     @staticmethod

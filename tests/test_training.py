@@ -11,7 +11,7 @@ from gpstack.model import dumps
 from gpstack.programs import RngStream, eval_batch, format_tree, parse_tree
 from gpstack.training import (ChampionEntry, PRESETS, ScoredTree, TrainerConfig,
                               evolve_generation, extract_residual, find_champion,
-                              preset, pure_bin_hits, score_population, train)
+                              preset, score_population, train)
 
 from helpers import random_dataset, separable_dataset
 
@@ -202,8 +202,7 @@ class TestExtractResidual:
             hist = fit_histogram(tree, data, cfg)
             pure, ambiguous = bin_table(hist, beta)
             champ = ChampionEntry(tree, 1.0, hist.geometry, pure, ambiguous, beta, 1)
-            hit, _ = pure_bin_hits(champ.geometry, champ.pure_bins,
-                                   eval_batch(tree, data.records))
+            hit, _ = champ.lookup.answer(eval_batch(tree, data.records))
             pure_keys = {b.key for b in pure}
             expected = np.array([int(hist.keys[i]) in pure_keys
                                  for i in hist.record_inverse])
