@@ -339,11 +339,10 @@ class LevelLookup:
         if not self.pure.size:
             return np.zeros(y.shape, dtype=bool), np.zeros(y.shape, dtype=np.int64)
         if self.geometry.mode == "fixed":
-            queries = locate_bins(self.geometry, y)
+            answered, pos = match_positions(self.pure, locate_bins(self.geometry, y))
         else:
             queries = float32_values(y).astype(np.float64)
-        answered, pos = match_positions(self.pure, queries)
-        if self.geometry.mode == "float32":
+            answered, pos = match_positions(self.pure, queries)
             unseen = ~answered & ~match_positions(self.ambiguous, queries)[0]
             pos[unseen] = nearest_positions(self.pure, queries[unseen])
             answered |= unseen

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gpstack.binning import BinHistogram, IntervalGeometry
 from gpstack.dataset import LabeledDataset
 
 
@@ -56,3 +57,11 @@ def large_surrogate(n: int = 800_000, seed: int = 2024) -> LabeledDataset:
     noise = rng.integers(0, 4, size=(n, 5)).astype(np.float64)
     X = np.column_stack([x0, x1, x2, noise])
     return LabeledDataset(X, labels, ("normal", "event"))
+
+
+def one_bin_histogram(counts) -> BinHistogram:
+    """A histogram holding one occupied bin with these per-class counts."""
+    n = sum(counts)
+    return BinHistogram(IntervalGeometry("fixed", 0.0, 1.0, 1), np.array([0]),
+                        np.array([0.5]), np.array([counts]), np.zeros(n, dtype=np.int32),
+                        n, len(counts))

@@ -16,15 +16,14 @@ import numpy as np
 import pytest
 
 import conftest
-from gpstack.binning import (BinHistogram, FitnessConfig, IntervalGeometry, bin_table,
-                             fit_histogram, gini_fitness)
+from gpstack.binning import FitnessConfig, bin_table, fit_histogram, gini_fitness
 from gpstack.dataset import SplitSpec, load_csv, stratified_split
 from gpstack.evaluation import evaluate, predict_record, stack_usage_report
 from gpstack.model import save_model
 from gpstack.programs import eval_record, grow_clone, init_stump, mutate_params
 from gpstack.training import TrainerConfig, preset, train
 
-from helpers import large_surrogate, random_dataset
+from helpers import large_surrogate, one_bin_histogram, random_dataset
 
 UCI_DIR = Path(os.environ.get("GPSTACK_UCI_DIR", Path(__file__).resolve().parent.parent / "data" / "uci"))
 CTU_CSV = os.environ.get("GPSTACK_CTU_CSV", str(Path(__file__).resolve().parent.parent / "data" / "ctu.csv"))
@@ -111,11 +110,7 @@ def oracle_is_pure(counts, beta) -> bool:
 
 def table_is_pure(counts, beta) -> bool:
     """Whether :func:`bin_table` files one occupied bin of these counts as pure."""
-    n = sum(counts)
-    hist = BinHistogram(IntervalGeometry("fixed", 0.0, 1.0, 1), np.array([0]),
-                        np.array([0.5]), np.array([counts]), np.zeros(n, dtype=np.int32),
-                        n, len(counts))
-    return bool(bin_table(hist, beta)[0])
+    return bool(bin_table(one_bin_histogram(counts), beta)[0])
 
 
 def test_bin_purity_semantics():

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from gpstack.binning import (BinHistogram, FitnessConfig, IntervalGeometry, bin_table,
-                             fit_histogram, gini_fitness, key_reps, locate_bins,
-                             nearest_pure_bin)
+from gpstack.binning import (FitnessConfig, IntervalGeometry, bin_table, fit_histogram,
+                             gini_fitness, key_reps, locate_bins, nearest_pure_bin)
 from gpstack.dataset import LabeledDataset
 from gpstack.programs import parse_tree
 
-from helpers import random_dataset
+from helpers import one_bin_histogram, random_dataset
 
 IDENT = parse_tree("(attr 0)")
 
@@ -110,11 +109,7 @@ def purity(counts, beta):
 
 def table_purity(counts, beta):
     """How :func:`bin_table` reads one occupied bin with these class counts."""
-    n = sum(counts)
-    hist = BinHistogram(IntervalGeometry("fixed", 0.0, 1.0, 1), np.array([0]),
-                        np.array([0.5]), np.array([counts]), np.zeros(n, dtype=np.int32),
-                        n, len(counts))
-    pure, ambiguous = bin_table(hist, beta)
+    pure, ambiguous = bin_table(one_bin_histogram(counts), beta)
     assert len(pure) + len(ambiguous) == 1
     return "pure" if pure else "ambiguous"
 
