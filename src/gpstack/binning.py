@@ -170,7 +170,7 @@ def locate_bins(geom: IntervalGeometry, values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     if geom.mode == "fixed":
-        return fixed_keys(np.array(values, ndmin=2), np.array([geom.lo]),
+        return fixed_keys(values.reshape(1, -1).copy(), np.array([geom.lo]),
                           np.array([geom.hi]), geom.num_bin).reshape(values.shape)
     return float32_values(values).view(np.uint32).astype(np.int64)
 
