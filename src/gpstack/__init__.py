@@ -13,9 +13,8 @@ from .dataset import (DatasetError, LabeledDataset, SplitSpec, load_csv,
 from .evaluation import (EvalReport, PredictionTrace, UsageReport, evaluate,
                          predict_record, stack_usage_report)
 from .model import ModelFormatError, load_model, save_model
-from .programs import (Attribute, Constant, Operator, ProgramTree, RngStream,
-                       eval_batch, eval_record, format_tree, grow_clone,
-                       init_stump, mutate_params, parse_tree)
+from .programs import (ProgramTree, RngStream, eval_batch, eval_record, format_tree,
+                       grow_clone, init_stump, mutate_params, parse_tree)
 from .training import (ChampionEntry, EnsembleStack, GenerationResult, PRESETS,
                        ScoredTree, TrainerConfig, TrainingLog, evolve_generation,
                        extract_residual, find_champion, preset, train)
@@ -23,10 +22,10 @@ from .training import (ChampionEntry, EnsembleStack, GenerationResult, PRESETS,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousBin", "Attribute", "BinHistogram", "ChampionEntry", "Constant",
+    "AmbiguousBin", "BinHistogram", "ChampionEntry",
     "DatasetError", "EnsembleStack", "EvalReport", "FitnessConfig",
     "GenerationResult", "IntervalGeometry", "LabeledDataset", "LevelLookup",
-    "ModelFormatError", "Operator", "PRESETS", "PredictionTrace", "ProgramTree",
+    "ModelFormatError", "PRESETS", "PredictionTrace", "ProgramTree",
     "PureBin", "RngStream", "ScoredTree", "SplitSpec", "TrainerConfig",
     "TrainingLog", "UsageReport", "bin_table", "eval_batch",
     "eval_record", "evaluate", "evolve_generation", "extract_residual",

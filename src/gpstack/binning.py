@@ -179,13 +179,22 @@ def key_reps(geom: IntervalGeometry, keys: np.ndarray) -> np.ndarray:
     """Representative output value of each bin key.
 
     Fixed-mode bins are represented by their interval midpoint, float32 bins
-    by the rounded value itself.
+    by the rounded value itself.  Where float64 cannot hold the interval
+    width, the midpoint takes the route :func:`fixed_keys` keys by: halved
+    values when hi - lo overflows, a share of hi - lo when the width
+    underflows to 0.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if geom.mode == "fixed":
-        if geom.hi <= geom.lo:
-            return np.full(keys.shape, geom.lo, dtype=np.float64)
-        return geom.lo + (keys + 0.5) * geom.width
+        lo, hi, num_bin = geom.lo, geom.hi, geom.num_bin
+        if hi <= lo:
+            return np.full(keys.shape, lo, dtype=np.float64)
+        width = geom.width
+        if width == np.inf:
+            return 2 * (lo / 2 + (keys + 0.5) * ((hi / 2 - lo / 2) / num_bin))
+        if width == 0:
+            return lo + (keys + 0.5) / num_bin * (hi - lo)
+        return lo + (keys + 0.5) * width
     return keys.astype(np.uint32).view(np.float32).astype(np.float64)
 
 

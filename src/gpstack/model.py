@@ -10,7 +10,7 @@ deliberately not stored; a loaded stack reports zero seconds.  The
 from __future__ import annotations
 
 from .binning import AmbiguousBin, IntervalGeometry, PureBin, key_reps
-from .programs import Attribute, TreeFormatError, _leaves_preorder, format_tree, parse_tree
+from .programs import TreeFormatError, format_tree, parse_tree
 from .training import ChampionEntry, EnsembleStack, TrainerConfig, TrainingLog
 
 MAGIC = "gpstack-model v1"
@@ -202,10 +202,9 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> 
         tree = parse_tree(line[len("tree "):])
     except TreeFormatError as exc:
         cur.fail(f"bad program: {exc}")
-    for leaf in _leaves_preorder(tree.root):
-        if isinstance(leaf, Attribute) and not 0 <= leaf.index < n_attributes:
-            cur.fail(f"program reads attribute {leaf.index}, "
-                     f"model has {n_attributes} attributes")
+    for head, arg in tree.code:
+        if head == "attr" and not 0 <= arg < n_attributes:
+            cur.fail(f"program reads attribute {arg}, model has {n_attributes} attributes")
 
     n_pure = cur.scalar("pure_bins", int, "an integer")
     pure: list[PureBin] = []

@@ -1,15 +1,17 @@
-"""Expression-tree programs: arithmetic trees over record attributes.
+"""Programs: arithmetic expressions over record attributes.
 
-A program is an immutable binary tree whose leaves read an attribute or hold
-a constant and whose internal nodes apply one of four protected arithmetic
-operators.  Programs map a record to a single real number; that number is
-what downstream histogram binning consumes.
+A program is an immutable binary expression whose leaves read an attribute
+or hold a constant and whose internal nodes apply one of four protected
+arithmetic operators.  It is stored as one flat tuple of nodes in preorder,
+each node the pair its text form writes: ``("attr", index)``,
+``("const", value)`` or ``(op, None)``.  Programs map a record to a single
+real number; that number is what downstream histogram binning consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +23,6 @@ ATTRIBUTE_PROB = 0.9      # chance a fresh terminal reads an attribute
 CONST_RANGE = 1.0         # fresh constants drawn uniform from [-1, 1]
 MUTATION_RATE = 0.1       # per-node parameter mutation probability
 MUTATION_SIGMA = 0.1      # stddev of Gaussian nudges applied to constants
-
-
-@dataclass(frozen=True)
-class Attribute:
-    index: int
-
-
-@dataclass(frozen=True)
-class Constant:
-    value: float
-
-
-@dataclass(frozen=True)
-class Operator:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Attribute, Constant, Operator]
 
 
 @dataclass(frozen=True)
@@ -65,47 +47,19 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ProgramTree:
-    """A program with cached size/depth and a postorder instruction list."""
+    """A program as its preorder node list.
 
-    root: Node
-    node_count: int
-    depth: int
-    _code: tuple = field(default=(), compare=False, repr=False)
+    ``code`` holds every node once, each operator before its left subtree
+    and that before its right subtree.  A node is ``("attr", index)``,
+    ``("const", value)`` or ``(op, None)`` with ``op`` in :data:`OPS`, so
+    the heads are the tokens of :func:`format_tree`.
+    """
 
-    @classmethod
-    def from_root(cls, root: Node) -> "ProgramTree":
-        count, depth = _measure(root)
-        return cls(root, count, depth, tuple(_compile(root)))
+    code: tuple[tuple[str, int | float | None], ...]
 
-
-def _measure(node: Node) -> tuple[int, int]:
-    if isinstance(node, Operator):
-        lc, ld = _measure(node.left)
-        rc, rd = _measure(node.right)
-        return lc + rc + 1, 1 + max(ld, rd)
-    return 1, 1
-
-
-_ATTR, _CONST, _OP = 0, 1, 2
-
-
-def _compile(node: Node) -> list:
-    code: list = []
-    stack = [(node, False)]
-    while stack:
-        cur, expanded = stack.pop()
-        if isinstance(cur, Operator):
-            if expanded:
-                code.append((_OP, cur.op))
-            else:
-                stack.append((cur, True))
-                stack.append((cur.right, False))
-                stack.append((cur.left, False))
-        elif isinstance(cur, Attribute):
-            code.append((_ATTR, cur.index))
-        else:
-            code.append((_CONST, cur.value))
-    return code
+    @property
+    def node_count(self) -> int:
+        return len(self.code)
 
 
 def eval_batch(tree: ProgramTree, records: np.ndarray) -> np.ndarray:
@@ -119,19 +73,20 @@ def eval_batch(tree: ProgramTree, records: np.ndarray) -> np.ndarray:
     n = records.shape[0]
     stack: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for kind, arg in tree._code:
-            if kind == _ATTR:
+        # right to left, an operator finds its left operand on top of the stack
+        for head, arg in reversed(tree.code):
+            if head == "attr":
                 stack.append(records[:, arg])
-            elif kind == _CONST:
+            elif head == "const":
                 stack.append(np.full(n, arg, dtype=np.float64))
             else:
-                b = stack.pop()
                 a = stack.pop()
-                if arg == "add":
+                b = stack.pop()
+                if head == "add":
                     r = a + b
-                elif arg == "sub":
+                elif head == "sub":
                     r = a - b
-                elif arg == "mul":
+                elif head == "mul":
                     r = a * b
                 else:
                     safe = np.abs(b) >= DIV_GUARD
@@ -150,10 +105,10 @@ def eval_record(tree: ProgramTree, record: np.ndarray) -> float:
     return float(eval_batch(tree, row)[0])
 
 
-def _random_terminal(d: int, rng: np.random.Generator) -> Node:
+def _random_terminal(d: int, rng: np.random.Generator) -> tuple[str, int | float]:
     if rng.random() < ATTRIBUTE_PROB:
-        return Attribute(int(rng.integers(d)))
-    return Constant(float(rng.uniform(-CONST_RANGE, CONST_RANGE)))
+        return ("attr", int(rng.integers(d)))
+    return ("const", float(rng.uniform(-CONST_RANGE, CONST_RANGE)))
 
 
 def init_stump(d: int, rng: np.random.Generator) -> ProgramTree:
@@ -161,36 +116,7 @@ def init_stump(d: int, rng: np.random.Generator) -> ProgramTree:
     uniform constant in [-1, 1]."""
     if d < 1:
         raise ValueError("need at least one attribute")
-    return ProgramTree.from_root(_random_terminal(d, rng))
-
-
-def _leaves_preorder(node: Node) -> list[Node]:
-    out: list[Node] = []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Operator):
-            stack.append(cur.right)
-            stack.append(cur.left)
-        else:
-            out.append(cur)
-    return out
-
-
-def _replace_leaf(node: Node, target: int, replacement: Node, counter: list[int]) -> Node:
-    if isinstance(node, Operator):
-        left = _replace_leaf(node.left, target, replacement, counter)
-        if left is not node.left:
-            return Operator(node.op, left, node.right)
-        right = _replace_leaf(node.right, target, replacement, counter)
-        if right is not node.right:
-            return Operator(node.op, node.left, right)
-        return node
-    if counter[0] == target:
-        counter[0] += 1
-        return replacement
-    counter[0] += 1
-    return node
+    return ProgramTree((_random_terminal(d, rng),))
 
 
 def grow_clone(parent: ProgramTree, d: int, rng: np.random.Generator) -> ProgramTree:
@@ -198,35 +124,14 @@ def grow_clone(parent: ProgramTree, d: int, rng: np.random.Generator) -> Program
 
     A uniformly chosen leaf (preorder order) becomes the left child of a new
     operator with a uniformly chosen op; the right child is a fresh random
-    terminal.  The parent is untouched; unchanged subtrees are shared.
-    Node count always grows by exactly 2.
+    terminal.  The parent is untouched.  Node count always grows by exactly 2.
     """
-    leaves = _leaves_preorder(parent.root)
-    target = int(rng.integers(len(leaves)))
+    code = parent.code
+    leaves = [i for i, (head, _) in enumerate(code) if head not in OPS]
+    at = leaves[int(rng.integers(len(leaves)))]
     op = OPS[int(rng.integers(len(OPS)))]
-    displaced = leaves[target]
-    replacement = Operator(op, displaced, _random_terminal(d, rng))
-    new_root = _replace_leaf(parent.root, target, replacement, [0])
-    return ProgramTree.from_root(new_root)
-
-
-def _mutate_node(node: Node, d: int, rng: np.random.Generator,
-                 rate: float, sigma: float) -> Node:
-    # one uniform draw per node decides the hit; redraws consume extra
-    # randomness only when a mutation actually fires
-    hit = rng.random() < rate
-    if isinstance(node, Operator):
-        op = OPS[int(rng.integers(len(OPS)))] if hit else node.op
-        left = _mutate_node(node.left, d, rng, rate, sigma)
-        right = _mutate_node(node.right, d, rng, rate, sigma)
-        if op == node.op and left is node.left and right is node.right:
-            return node
-        return Operator(op, left, right)
-    if not hit:
-        return node
-    if isinstance(node, Attribute):
-        return Attribute(int(rng.integers(d)))
-    return Constant(node.value + float(rng.normal(0.0, sigma)))
+    grown = ((op, None), code[at], _random_terminal(d, rng))
+    return ProgramTree(code[:at] + grown + code[at + 1:])
 
 
 def mutate_params(tree: ProgramTree, d: int, rng: np.random.Generator,
@@ -235,33 +140,46 @@ def mutate_params(tree: ProgramTree, d: int, rng: np.random.Generator,
 
     Nodes are visited in preorder.  Each independently mutates with
     probability ``rate``: constants get a Gaussian(0, sigma) nudge, attribute
-    indices are resampled uniformly, operators are resampled uniformly.
+    indices are resampled uniformly, operators are resampled uniformly.  One
+    uniform draw per node decides the hit; a hit draws once more.  When no
+    node is hit, ``tree`` itself is returned.
     """
-    return ProgramTree.from_root(_mutate_node(tree.root, d, rng, rate, sigma))
+    code = None
+    for i, (head, arg) in enumerate(tree.code):
+        if rng.random() >= rate:
+            continue
+        if code is None:
+            code = list(tree.code)
+        if head == "attr":
+            code[i] = ("attr", int(rng.integers(d)))
+        elif head == "const":
+            code[i] = ("const", arg + float(rng.normal(0.0, sigma)))
+        else:
+            code[i] = (OPS[int(rng.integers(len(OPS)))], None)
+    return tree if code is None else ProgramTree(tuple(code))
 
 
 def format_tree(tree: ProgramTree) -> str:
     """Prefix text form, e.g. ``(add (attr 0) (const 0.25))``.
 
     Constants are written with ``repr`` so parsing the text reproduces the
-    tree bit for bit.
+    program bit for bit.
     """
     parts: list[str] = []
-    _format_node(tree.root, parts)
+    pending: list[int] = []  # children still to write, per open operator
+    for head, arg in tree.code:
+        if head in OPS:
+            parts.append(f"({head} ")
+            pending.append(2)
+            continue
+        parts.append(f"({head} {arg!r})")
+        while pending and pending[-1] == 1:  # a right child: its operator is done
+            pending.pop()
+            parts.append(")")
+        if pending:  # a left child: the right one follows
+            pending[-1] = 1
+            parts.append(" ")
     return "".join(parts)
-
-
-def _format_node(node: Node, parts: list[str]) -> None:
-    if isinstance(node, Operator):
-        parts.append(f"({node.op} ")
-        _format_node(node.left, parts)
-        parts.append(" ")
-        _format_node(node.right, parts)
-        parts.append(")")
-    elif isinstance(node, Attribute):
-        parts.append(f"(attr {node.index})")
-    else:
-        parts.append(f"(const {node.value!r})")
 
 
 class TreeFormatError(ValueError):
@@ -269,43 +187,51 @@ class TreeFormatError(ValueError):
 
 
 def parse_tree(text: str) -> ProgramTree:
-    """Inverse of :func:`format_tree`."""
+    """Inverse of :func:`format_tree`.
+
+    Constants must be finite: training never makes another, and a
+    non-finite constant would reach the output unclamped.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = [0]
-
-    def parse() -> Node:
-        if pos[0] >= len(tokens):
-            raise TreeFormatError("unexpected end of program text")
-        if tokens[pos[0]] != "(":
-            raise TreeFormatError(f"expected '(' at token {pos[0]}")
-        pos[0] += 1
-        head = tokens[pos[0]]
-        pos[0] += 1
-        if head == "attr":
-            idx = tokens[pos[0]]
-            pos[0] += 1
-            node: Node = Attribute(int(idx))
-        elif head == "const":
-            val = tokens[pos[0]]
-            pos[0] += 1
-            node = Constant(float(val))
-        elif head in OPS:
-            left = parse()
-            right = parse()
-            node = Operator(head, left, right)
-        else:
-            raise TreeFormatError(f"unknown node kind {head!r}")
-        if pos[0] >= len(tokens) or tokens[pos[0]] != ")":
-            raise TreeFormatError(f"expected ')' after {head} node")
-        pos[0] += 1
-        return node
-
+    code: list[tuple[str, int | float | None]] = []
+    pending: list[int] = []  # children still to read, per open operator
+    pos = 0
     try:
-        root = parse()
+        while True:
+            if pos >= len(tokens):
+                raise TreeFormatError("unexpected end of program text")
+            if tokens[pos] != "(":
+                raise TreeFormatError(f"expected '(' at token {pos}")
+            head = tokens[pos + 1]
+            if head in OPS:
+                code.append((head, None))
+                pending.append(2)
+                pos += 2
+                continue
+            if head == "attr":
+                arg: int | float = int(tokens[pos + 2])
+            elif head == "const":
+                arg = float(tokens[pos + 2])
+                if not math.isfinite(arg):
+                    raise TreeFormatError(f"constant {tokens[pos + 2]!r} is not finite")
+            else:
+                raise TreeFormatError(f"unknown node kind {head!r}")
+            code.append((head, arg))
+            pos += 3
+            closing = 1  # the leaf's own ')' and one per operator it completes
+            while pending and pending[-1] == 1:
+                pending.pop()
+                closing += 1
+            if tokens[pos:pos + closing] != [")"] * closing:
+                raise TreeFormatError(f"expected {closing} ')' at token {pos}")
+            pos += closing
+            if not pending:
+                break
+            pending[-1] = 1
     except (ValueError, IndexError) as exc:
         if isinstance(exc, TreeFormatError):
             raise
         raise TreeFormatError(f"bad program text: {exc}") from exc
-    if pos[0] != len(tokens):
+    if pos != len(tokens):
         raise TreeFormatError("trailing tokens after program")
-    return ProgramTree.from_root(root)
+    return ProgramTree(tuple(code))

@@ -9,7 +9,7 @@ import pytest
 import gpstack.cli as cli
 from gpstack.cli import main, read_config_file
 from gpstack.dataset import load_csv, write_csv
-from gpstack.model import load_model
+from gpstack.model import load_model, save_model
 
 from helpers import random_dataset, separable_dataset
 
@@ -241,6 +241,21 @@ class TestInspectCommand:
         payload = read_json(str(out))
         assert payload["levels"] == load_model(str(model)).depth
         assert payload["entries"][0]["records_claimed"] > 0
+
+    def test_inspect_deep_program(self, toy_csv, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        assert main(["train", "--data", toy_csv, "--model", str(model)]) == 0
+        deep = "(add " * 5000 + "(attr 0)" + " (const 0.5))" * 5000
+        lines = model.read_text(encoding="utf-8").splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("tree "))
+        lines[idx] = "tree " + deep
+        text = "\n".join(lines) + "\n"
+        model.write_text(text, encoding="utf-8")
+        assert main(["inspect", "--model", str(model)]) == 0
+        assert deep in capsys.readouterr().out
+        again = tmp_path / "again.model"
+        save_model(load_model(str(model)), str(again))
+        assert again.read_text(encoding="utf-8") == text
 
     def test_inspect_corrupt_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.model"

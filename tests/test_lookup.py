@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gpstack.binning import (FitnessConfig, IntervalGeometry, bin_table, fit_histogram,
-                             fixed_keys, float32_values, locate_bins)
+                             fixed_keys, float32_values, key_reps, locate_bins)
 from gpstack.dataset import LabeledDataset
 from gpstack.evaluation import evaluate, predict_record
 from gpstack.model import dumps, loads
@@ -191,6 +191,12 @@ def test_unseen_outputs_of_unsplittable_ranges_clamp(lo, hi, outputs):  # ascend
     assert keys.tolist() == sorted(keys.tolist())
 
 
+@pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-HUGE, HUGE), (0.0, TINY)])
+def test_reps_of_unsplittable_ranges_ascend_inside_the_range(lo, hi):
+    reps = key_reps(IntervalGeometry("fixed", float(lo), float(hi), 2), np.arange(2))
+    assert np.isfinite(reps).all() and lo <= reps[0] < reps[1] <= hi
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_training_on_a_range_float64_cannot_split(seed):
     rng = np.random.default_rng(0)
@@ -201,6 +207,10 @@ def test_training_on_a_range_float64_cannot_split(seed):
     stack = train(data, preset("small-fast", seed=seed))
     keys = fixed_mode_keys(stack)
     assert keys and all(0 <= k < 2 for k in keys)
+    for e in stack.entries:
+        reps = np.array([b.rep for b in e.pure_bins + e.ambiguous_bins])
+        assert np.isfinite(reps).all()
+        assert np.all((e.geometry.lo <= reps) & (reps <= e.geometry.hi))
     text = dumps(stack)
     assert dumps(loads(text)) == text
     assert evaluate(stack, data).accuracy_strict >= 0.99

@@ -144,6 +144,14 @@ class TestCorruptInput:
         with pytest.raises(ModelFormatError, match="attribute -1"):
             loads("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_constant_rejected(self, value):
+        lines = dumps(trained_stack(0)).splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("tree "))
+        lines[idx] = f"tree (add (attr 0) (const {value}))"
+        with pytest.raises(ModelFormatError, match=f"line {idx + 1}: bad program: .*not finite"):
+            loads("\n".join(lines) + "\n")
+
     def test_geometry_mode_must_match_model_mode(self):
         lines = dumps(trained_stack(0)).splitlines()
         idx = next(i for i, l in enumerate(lines) if l.startswith("geometry fixed"))

@@ -1,15 +1,28 @@
-"""Expression-tree construction, evaluation, variation, and text format."""
+"""Program construction, evaluation, variation, and text format."""
+
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 import pytest
 
-from gpstack.programs import (Attribute, Constant, Operator, ProgramTree, RngStream,
-                              TreeFormatError, eval_batch, eval_record, format_tree,
-                              grow_clone, init_stump, mutate_params, parse_tree)
+from gpstack.programs import (ATTRIBUTE_PROB, CONST_RANGE, DIV_GUARD, FINITE_CLAMP, OPS,
+                              ProgramTree, RngStream, TreeFormatError, eval_batch,
+                              eval_record, format_tree, grow_clone, init_stump,
+                              mutate_params, parse_tree)
 
 
 def tree_of(text):
     return parse_tree(text)
+
+
+def depth(tree):
+    """Nodes on the longest root-to-leaf path, read right to left from the
+    preorder code as ``eval_batch`` reads it."""
+    stack = []
+    for head, _ in reversed(tree.code):
+        stack.append(1 + max(stack.pop(), stack.pop()) if head in OPS else 1)
+    return stack[0]
 
 
 def random_tree(rng, d=3, grows=3):
@@ -84,31 +97,31 @@ class TestInitStump:
     def test_single_attribute_goes_to_index_zero(self):
         rng = np.random.default_rng(0)  # first draw takes the attribute branch
         t = init_stump(1, rng)
-        assert t.root == Attribute(0)
-        assert t.node_count == 1 and t.depth == 1
+        assert t.code == (("attr", 0),)
+        assert t.node_count == 1 and depth(t) == 1
 
     def test_constant_branch_in_range(self):
         rng = np.random.default_rng(0)
         seen_const = False
         for _ in range(500):
-            t = init_stump(3, rng)
-            if isinstance(t.root, Constant):
+            (head, arg), = init_stump(3, rng).code
+            if head == "const":
                 seen_const = True
-                assert -1.0 <= t.root.value <= 1.0
+                assert -1.0 <= arg <= 1.0
             else:
-                assert 0 <= t.root.index < 3
+                assert head == "attr" and 0 <= arg < 3
         assert seen_const
 
     def test_attribute_rate_about_ninety_percent(self):
         rng = np.random.default_rng(1)
-        hits = sum(isinstance(init_stump(4, rng).root, Attribute) for _ in range(4000))
+        hits = sum(init_stump(4, rng).code[0][0] == "attr" for _ in range(4000))
         assert 0.87 < hits / 4000 < 0.93
 
     def test_stream_determinism(self):
         s = RngStream(42).child(3, 1)
         a = init_stump(5, s.generator())
         b = init_stump(5, s.generator())
-        assert a.root == b.root
+        assert a.code == b.code
 
     def test_zero_attributes_rejected(self):
         with pytest.raises(ValueError):
@@ -135,9 +148,9 @@ class TestGrowClone:
         rng = np.random.default_rng(4)
         t = tree_of("(attr 1)")
         child = grow_clone(t, 2, rng)
-        assert isinstance(child.root, Operator)
-        assert child.root.left == Attribute(1)
-        assert child.depth == 2
+        assert child.code[0][0] in OPS
+        assert child.code[1] == ("attr", 1)
+        assert depth(child) == 2
 
     def test_same_stream_same_offspring(self):
         t = tree_of("(add (attr 0) (attr 1))")
@@ -151,7 +164,7 @@ class TestGrowClone:
         for _ in range(50):
             t = random_tree(rng, d=3, grows=4)
             child = grow_clone(t, 3, rng)
-            assert t.depth <= child.depth <= t.depth + 1
+            assert depth(t) <= depth(child) <= depth(t) + 1
 
     def test_every_leaf_reachable(self):
         # growing (add (attr 0) (attr 1)) must eventually touch both leaves
@@ -160,8 +173,7 @@ class TestGrowClone:
         seen = set()
         for _ in range(100):
             child = grow_clone(t, 2, rng)
-            left = child.root.left
-            seen.add("left" if isinstance(left, Operator) else "right")
+            seen.add("left" if child.code[1][0] in OPS else "right")
         assert seen == {"left", "right"}
 
 
@@ -170,7 +182,7 @@ class TestMutateParams:
         rng = np.random.default_rng(0)
         t = random_tree(rng, d=3, grows=3)
         same = mutate_params(t, 3, rng, rate=0.0)
-        assert same.root is t.root
+        assert same is t
 
     def test_structure_preserved(self):
         rng = np.random.default_rng(1)
@@ -178,7 +190,8 @@ class TestMutateParams:
             t = random_tree(rng, d=4, grows=4)
             m = mutate_params(t, 4, rng, rate=1.0)
             assert m.node_count == t.node_count
-            assert m.depth == t.depth
+            assert depth(m) == depth(t)
+            assert [h in OPS for h, _ in m.code] == [h in OPS for h, _ in t.code]
 
     def test_constant_gets_gaussian_nudge(self):
         t = tree_of("(const 0.5)")
@@ -187,18 +200,18 @@ class TestMutateParams:
         g = s.generator()
         g.random()  # the hit decision
         expected = 0.5 + g.normal(0.0, 0.1)
-        assert m.root == Constant(expected)
+        assert m.code == (("const", expected),)
 
     def test_attribute_resampled_in_range(self):
         t = tree_of("(attr 0)")
         rng = np.random.default_rng(2)
-        seen = {mutate_params(t, 5, rng, rate=1.0).root.index for _ in range(200)}
+        seen = {mutate_params(t, 5, rng, rate=1.0).code[0][1] for _ in range(200)}
         assert seen == {0, 1, 2, 3, 4}
 
     def test_operator_resampled(self):
         t = tree_of("(add (attr 0) (attr 0))")
         rng = np.random.default_rng(3)
-        ops = {mutate_params(t, 1, rng, rate=1.0).root.op for _ in range(200)}
+        ops = {mutate_params(t, 1, rng, rate=1.0).code[0][0] for _ in range(200)}
         assert ops == {"add", "sub", "mul", "pdiv"}
 
     def test_same_stream_same_result(self):
@@ -221,7 +234,7 @@ class TestTextFormat:
         for _ in range(200):
             t = random_tree(rng, d=4, grows=5)
             back = parse_tree(format_tree(t))
-            assert back.root == t.root
+            assert back.code == t.code
             assert format_tree(back) == format_tree(t)
 
     def test_round_trip_preserves_eval(self):
@@ -235,6 +248,8 @@ class TestTextFormat:
     @pytest.mark.parametrize("bad", [
         "", "(", "(attr)", "(attr 0", "(frob 1)", "(add (attr 0))",
         "(attr 0) extra", "(const x)", "add (attr 0) (attr 1)",
+        "(const nan)", "(const inf)", "(add (attr 0) (const -inf))",
+        "(add (attr 0) (add (attr 1)) (attr 2))", "(add (attr 0) (attr 1)))",
     ])
     def test_bad_text_rejected(self, bad):
         with pytest.raises(TreeFormatError):
@@ -246,10 +261,183 @@ class TestTreeMetrics:
         assert tree_of("(attr 0)").node_count == 1
         assert tree_of("(add (attr 0) (const 1.0))").node_count == 3
         t = tree_of("(add (mul (attr 0) (attr 1)) (const 1.0))")
-        assert t.node_count == 5 and t.depth == 3
+        assert t.node_count == 5 and depth(t) == 3
 
-    def test_from_root_matches_manual(self):
-        root = Operator("add", Attribute(0), Operator("mul", Constant(2.0), Attribute(1)))
-        t = ProgramTree.from_root(root)
+    def test_manual_code_matches_text(self):
+        t = ProgramTree((("add", None), ("attr", 0), ("mul", None), ("const", 2.0), ("attr", 1)))
         assert t.node_count == 5
-        assert t.depth == 3
+        assert depth(t) == 3
+        assert format_tree(t) == "(add (attr 0) (mul (const 2.0) (attr 1)))"
+        assert parse_tree(format_tree(t)) == t
+
+
+# The node-tree programs the preorder code replaced, kept as the reference
+# that every draw and float operation is checked against.
+
+@dataclass(frozen=True)
+class Attribute:
+    index: int
+
+
+@dataclass(frozen=True)
+class Constant:
+    value: float
+
+
+@dataclass(frozen=True)
+class Operator:
+    op: str
+    left: "Node"
+    right: "Node"
+
+
+Node = Union[Attribute, Constant, Operator]
+
+
+def ref_terminal(d, rng):
+    if rng.random() < ATTRIBUTE_PROB:
+        return Attribute(int(rng.integers(d)))
+    return Constant(float(rng.uniform(-CONST_RANGE, CONST_RANGE)))
+
+
+def ref_leaves(node):
+    if isinstance(node, Operator):
+        return ref_leaves(node.left) + ref_leaves(node.right)
+    return [node]
+
+
+def _replace_leaf(node, target, replacement, counter):
+    if isinstance(node, Operator):
+        left = _replace_leaf(node.left, target, replacement, counter)
+        if left is not node.left:
+            return Operator(node.op, left, node.right)
+        right = _replace_leaf(node.right, target, replacement, counter)
+        if right is not node.right:
+            return Operator(node.op, node.left, right)
+        return node
+    if counter[0] == target:
+        counter[0] += 1
+        return replacement
+    counter[0] += 1
+    return node
+
+
+def ref_grow(root, d, rng):
+    leaves = ref_leaves(root)
+    target = int(rng.integers(len(leaves)))
+    op = OPS[int(rng.integers(len(OPS)))]
+    replacement = Operator(op, leaves[target], ref_terminal(d, rng))
+    return _replace_leaf(root, target, replacement, [0])
+
+
+def _mutate_node(node, d, rng, rate, sigma):
+    hit = rng.random() < rate
+    if isinstance(node, Operator):
+        op = OPS[int(rng.integers(len(OPS)))] if hit else node.op
+        left = _mutate_node(node.left, d, rng, rate, sigma)
+        right = _mutate_node(node.right, d, rng, rate, sigma)
+        if op == node.op and left is node.left and right is node.right:
+            return node
+        return Operator(op, left, right)
+    if not hit:
+        return node
+    if isinstance(node, Attribute):
+        return Attribute(int(rng.integers(d)))
+    return Constant(node.value + float(rng.normal(0.0, sigma)))
+
+
+def ref_text(node):
+    if isinstance(node, Operator):
+        return f"({node.op} {ref_text(node.left)} {ref_text(node.right)})"
+    if isinstance(node, Attribute):
+        return f"(attr {node.index})"
+    return f"(const {node.value!r})"
+
+
+def ref_measure(node):
+    if isinstance(node, Operator):
+        lc, ld = ref_measure(node.left)
+        rc, rd = ref_measure(node.right)
+        return lc + rc + 1, 1 + max(ld, rd)
+    return 1, 1
+
+
+def _compile(node):
+    if isinstance(node, Operator):
+        return _compile(node.left) + _compile(node.right) + [("op", node.op)]
+    if isinstance(node, Attribute):
+        return [("attr", node.index)]
+    return [("const", node.value)]
+
+
+def ref_eval(root, records):
+    """The postorder evaluation the preorder code replaced."""
+    n = records.shape[0]
+    stack = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for kind, arg in _compile(root):
+            if kind == "attr":
+                stack.append(records[:, arg].copy())
+            elif kind == "const":
+                stack.append(np.full(n, arg, dtype=np.float64))
+            else:
+                b = stack.pop()
+                a = stack.pop()
+                if arg == "add":
+                    r = a + b
+                elif arg == "sub":
+                    r = a - b
+                elif arg == "mul":
+                    r = a * b
+                else:
+                    safe = np.abs(b) >= DIV_GUARD
+                    r = np.divide(a, b, out=np.ones(n, dtype=np.float64), where=safe)
+                if not np.isfinite(r).all():
+                    r = np.nan_to_num(r, copy=False, nan=0.0,
+                                      posinf=FINITE_CLAMP, neginf=-FINITE_CLAMP)
+                stack.append(r)
+    return stack[0]
+
+
+def probe_records(rng, d):
+    """Rows with signed zeros, values that overflow or divide by almost
+    nothing, and ordinary values."""
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 1e-10, -1e-10, 1e155, -1e155, 1e300, -1e300])
+    X = rng.choice(pool, size=(30, d))
+    X[::3] = rng.normal(size=(10, d))
+    return X
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestAgainstNodeTree:
+    """``init_stump``, ``grow_clone`` and ``mutate_params`` draw, build and
+    evaluate exactly what the node-tree implementation did."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+    def test_same_programs_draws_and_outputs(self, rate):
+        for stream in range(150):
+            d = 1 + stream % 7
+            rng, ref_rng = (RngStream(stream, (int(rate * 10),)).generator() for _ in "ab")
+            tree = init_stump(d, rng)
+            root = ref_terminal(d, ref_rng)
+            for step in range(13):
+                where = f"stream {stream} step {step}"
+                assert format_tree(tree) == ref_text(root), where
+                assert (tree.node_count, depth(tree)) == ref_measure(root), where
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, where
+                tree = mutate_params(grow_clone(tree, d, rng), d, rng, rate=rate)
+                root = _mutate_node(ref_grow(root, d, ref_rng), d, ref_rng, rate, 0.1)
+            X = probe_records(rng, d)
+            np.testing.assert_array_equal(bits(eval_batch(tree, X)), bits(ref_eval(root, X)))
+
+    def test_signed_zero_and_clamped_outputs_keep_their_bits(self):
+        X = np.array([[0.0, 1e300], [-0.0, -1e300], [2.0, 1e-10]])
+        a0, a1 = Attribute(0), Attribute(1)
+        for root in [a0, Operator("mul", a0, Constant(-1.0)), Operator("sub", a0, Constant(0.0)),
+                     Operator("mul", a1, a1), Operator("pdiv", a0, a1),
+                     Operator("add", Operator("mul", a1, Constant(10.0)), a0)]:
+            tree = parse_tree(ref_text(root))
+            np.testing.assert_array_equal(bits(eval_batch(tree, X)), bits(ref_eval(root, X)))
