@@ -244,7 +244,21 @@ def bin_table(hist: BinHistogram, beta: float) -> tuple[tuple[PureBin, ...], tup
 
 
 def gini_fitness(hist: BinHistogram, class_counts: np.ndarray, alpha: float) -> float:
-    """Purity-weighted fitness of a histogram; higher is fitter.
+    """Purity-weighted fitness of a histogram, by :func:`gini_scores` with
+    ``max_bins`` its capacity capped at its record count."""
+    inst = np.asarray(class_counts, dtype=np.float64)
+    if inst.shape != (hist.num_classes,):
+        raise ValueError("class_counts must align with the histogram's classes")
+    if hist.counts[:, ~(inst > 0)].any():
+        raise ValueError("histogram contains records of a class with zero count")
+    max_bins = min(hist.geometry.capacity, hist.n_records)
+    return float(gini_scores(hist.counts[None], inst, alpha, max_bins)[0])
+
+
+def gini_scores(counts: np.ndarray, class_counts: np.ndarray, alpha: float,
+                max_bins: int) -> np.ndarray:
+    """Fitness of each of P histograms given as a (P, bins, classes) count
+    array; higher is fitter.
 
     Each occupied bin i contributes, for each class c present in the data,
 
@@ -254,22 +268,18 @@ def gini_fitness(hist: BinHistogram, class_counts: np.ndarray, alpha: float) -> 
     histogram scores 1.0 for two balanced classes; lumping everything into
     one bin scores lower.  On top of that, a usage bonus of
 
-        alpha * used_bins / min(capacity, n_records)
+        alpha * occupied_bins / max_bins
 
-    rewards programs that spread records over more bins.
+    rewards programs that spread records over more bins.  The terms are
+    summed in bin order, empty bins adding 0.
     """
     inst = np.asarray(class_counts, dtype=np.float64)
-    if inst.shape != (hist.num_classes,):
-        raise ValueError("class_counts must align with the histogram's classes")
-    counts = hist.counts.astype(np.float64)
     active = inst > 0
-    if counts[:, ~active].any():
-        raise ValueError("histogram contains records of a class with zero count")
-    totals = counts.sum(axis=1)
-    frac = counts[:, active] / (totals[:, None] * inst[None, active])
-    gini = float((frac * frac * inst[None, active]).sum())
-    used = hist.used_bins / min(hist.geometry.capacity, hist.n_records)
-    return gini + alpha * used
+    totals = counts.sum(axis=2).astype(np.float64)
+    occupied = totals > 0
+    frac = counts[:, :, active] / (np.where(occupied, totals, 1.0)[:, :, None] * inst[active])
+    gini = (frac * frac * inst[active]).reshape(len(counts), -1).sum(axis=1)
+    return gini + alpha * (occupied.sum(axis=1) / max_bins)
 
 
 def nearest_pure_bin(pure_bins, query: float):

@@ -74,7 +74,6 @@ class SplitSpec:
 
     train_fraction: float
     seed: int
-    stratified: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
@@ -242,24 +241,18 @@ def stratified_split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledData
     counts = data.class_counts()
     if data.num_classes < 2 or np.count_nonzero(counts) < 2:
         raise DatasetError("stratified split requires at least two classes present")
-    if spec.stratified and counts.min() < 2:
+    if counts.min() < 2:
         raise DatasetError("every class needs at least 2 records to stratify")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
     train_mask = np.zeros(data.n, dtype=bool)
-    if spec.stratified:
-        for c in range(data.num_classes):
-            members = np.flatnonzero(data.labels == c)
-            # round-half-up keeps 3.5 -> 4 regardless of float banker's rounding
-            k = int(np.floor(spec.train_fraction * members.size + 0.5))
-            k = min(max(k, 1), members.size - 1)
-            chosen = rng.permutation(members.size)[:k]
-            train_mask[members[chosen]] = True
-    else:
-        k = int(np.floor(spec.train_fraction * data.n + 0.5))
-        k = min(max(k, 1), data.n - 1)
-        chosen = rng.permutation(data.n)[:k]
-        train_mask[chosen] = True
+    for c in range(data.num_classes):
+        members = np.flatnonzero(data.labels == c)
+        # round-half-up keeps 3.5 -> 4 regardless of float banker's rounding
+        k = int(np.floor(spec.train_fraction * members.size + 0.5))
+        k = min(max(k, 1), members.size - 1)
+        chosen = rng.permutation(members.size)[:k]
+        train_mask[members[chosen]] = True
 
     train_idx = np.flatnonzero(train_mask)
     test_idx = np.flatnonzero(~train_mask)

@@ -9,6 +9,8 @@ deliberately not stored; a loaded stack reports zero seconds.  The
 
 from __future__ import annotations
 
+import math
+
 from .binning import AmbiguousBin, IntervalGeometry, PureBin, key_reps
 from .programs import TreeFormatError, format_tree, parse_tree
 from .training import ChampionEntry, EnsembleStack, TrainerConfig, TrainingLog
@@ -111,7 +113,11 @@ def loads(text: str) -> EnsembleStack:
     ascending in the value the lookups search: the key in fixed mode, the
     rep in float32 mode.  A fixed-mode bin's key must lie in
     ``[0, num_bin)`` and its rep must be exactly the one its key and the
-    entry's geometry give.
+    entry's geometry give.  An entry's ``beta`` must lie in (0, 1] and its
+    ``fitness`` must be finite.  Last, the text must be what :func:`dumps`
+    writes for the stack it holds, line for line, so number spellings the
+    writer never emits (``+1``, ``1_0``, ``007``, non-ASCII digits) are
+    rejected rather than silently rewritten on the next save.
     Errors name the offending line.
     """
     cur = _Cursor(text)
@@ -175,15 +181,23 @@ def loads(text: str) -> EnsembleStack:
         raise ModelFormatError(f"line {cur.pos + 1}: trailing content after model")
 
     log = TrainingLog(residual_sizes=residual_sizes, stalled=bool(stalled))
-    return EnsembleStack(tuple(entries), tuple(classes), n_attributes,
-                         majority, config, log)
+    stack = EnsembleStack(tuple(entries), tuple(classes), n_attributes,
+                          majority, config, log)
+    for i, (line, canonical) in enumerate(zip(cur.lines, dumps(stack).split("\n")), start=1):
+        if line != canonical:
+            raise ModelFormatError(f"line {i}: {line!r} is not as saving writes it: {canonical!r}")
+    return stack
 
 
 def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> ChampionEntry:
     boost_epoch = cur.scalar("boost_epoch", int, "an integer")
     fitness = cur.scalar("fitness", float, "a float")
+    if not math.isfinite(fitness):
+        cur.fail("fitness must be finite")
     claimed = cur.scalar("records_claimed", int, "an integer")
     beta = cur.scalar("beta", float, "a float")
+    if not 0.0 < beta <= 1.0:
+        cur.fail("beta must lie in (0, 1]")
 
     parts = cur.expect("geometry")
     if len(parts) != 4:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .binning import (AmbiguousBin, BinHistogram, FitnessConfig, IntervalGeometry,
                       LevelLookup, PureBin, bin_table, fit_histogram, fixed_keys,
-                      gini_fitness)
+                      gini_fitness, gini_scores)
 from .dataset import LabeledDataset, remove_records
 from .programs import ProgramTree, RngStream, eval_batch, grow_clone, init_stump, mutate_params
 
@@ -109,22 +109,17 @@ class ChampionEntry:
 
 @dataclass(frozen=True)
 class ScoredTree:
-    """A program, its fitness on one dataset, and its histogram there.
-
-    The third field is the histogram itself or a zero-argument builder of
-    it; a builder runs on the first read of ``histogram``, and its result is
-    kept.  Batched scoring gives fitness without histograms, so only the
-    programs that :func:`find_champion` examines pay for one.
-    """
+    """A program, its fitness on one dataset, and ``build``, which makes its
+    histogram there on the first read of ``histogram``; only the programs
+    that :func:`find_champion` examines hold one."""
 
     tree: ProgramTree
     fitness: float
-    _histogram: BinHistogram | Callable[[], BinHistogram] = field(repr=False, compare=False)
+    build: Callable[[], BinHistogram] = field(repr=False, compare=False)
 
     @functools.cached_property
     def histogram(self) -> BinHistogram:
-        h = self._histogram
-        return h if isinstance(h, BinHistogram) else h()
+        return self.build()
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,8 @@ BATCH_CELLS = 2 ** 21
 
 def _score_one(tree: ProgramTree, data: LabeledDataset, fitcfg: FitnessConfig,
                class_counts: np.ndarray) -> ScoredTree:
-    hist = fit_histogram(tree, data, fitcfg)
-    return ScoredTree(tree, gini_fitness(hist, class_counts, fitcfg.alpha), hist)
+    build = functools.partial(fit_histogram, tree, data, fitcfg)
+    return ScoredTree(tree, gini_fitness(build(), class_counts, fitcfg.alpha), build)
 
 
 def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig,
@@ -182,12 +177,12 @@ def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig,
     """Fitness of every program, index-aligned with ``pop``.
 
     In fixed mode with fewer than 8 cells per bin table (``num_bin`` x
-    classes) the population is scored in batches, in this thread, with
-    histograms built only when read; numpy sums fewer than 8 terms in order,
-    so every fitness equals the per-program :func:`gini_fitness` bit for
-    bit.  Otherwise each program gets :func:`fit_histogram` and
-    :func:`gini_fitness`, split over ``workers`` threads; results are
-    identical for any worker count.
+    classes) the population is scored in batches, in this thread, by
+    :func:`gini_scores` on counts keyed by :func:`fixed_keys`; numpy sums
+    fewer than 8 terms in order, so every fitness equals the per-program
+    :func:`gini_fitness` bit for bit.  Otherwise each program gets
+    :func:`fit_histogram` and :func:`gini_fitness`, split over ``workers``
+    threads; results are identical for any worker count.
     """
     counts = data.class_counts()
     if not fitcfg.float_resolution and fitcfg.num_bin * data.num_classes < 8:
@@ -201,40 +196,23 @@ def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig,
 def _score_batched(pop, data: LabeledDataset, fitcfg: FitnessConfig,
                    class_counts: np.ndarray) -> list[ScoredTree]:
     scored: list[ScoredTree] = []
+    nb, C = fitcfg.num_bin, data.num_classes
     step = max(1, BATCH_CELLS // data.n)
     for start in range(0, len(pop), step):
         chunk = pop[start:start + step]
-        outputs = np.empty((len(chunk), data.n))
+        P = len(chunk)
+        outputs = np.empty((P, data.n))
         for i, tree in enumerate(chunk):
             outputs[i] = eval_batch(tree, data.records)
-        for tree, fit in zip(chunk, _fixed_fitness(outputs, data.labels, class_counts, fitcfg)):
-            scored.append(ScoredTree(tree, float(fit),
-                                     functools.partial(fit_histogram, tree, data, fitcfg)))
+        cells = fixed_keys(outputs, outputs.min(axis=1), outputs.max(axis=1), nb)
+        cells += (np.arange(P) * nb)[:, None]
+        cells *= C
+        cells += data.labels
+        counts = np.bincount(cells.ravel(), minlength=P * nb * C).reshape(P, nb, C)
+        fits = gini_scores(counts, class_counts, fitcfg.alpha, min(nb, data.n))
+        scored += [ScoredTree(t, float(f), functools.partial(fit_histogram, t, data, fitcfg))
+                   for t, f in zip(chunk, fits)]
     return scored
-
-
-def _fixed_fitness(outputs: np.ndarray, labels: np.ndarray, class_counts: np.ndarray,
-                   fitcfg: FitnessConfig) -> np.ndarray:
-    """:func:`gini_fitness` of each row's fixed-mode histogram, from a
-    (programs, records) output matrix that is overwritten.
-
-    Keys come from :func:`fixed_keys`, as in :func:`fit_histogram`, and the
-    Gini terms are summed over every bin in key order, empty bins adding 0.
-    """
-    P, n = outputs.shape
-    nb, C = fitcfg.num_bin, class_counts.size
-    cells = fixed_keys(outputs, outputs.min(axis=1), outputs.max(axis=1), nb)
-    cells += (np.arange(P) * nb)[:, None]
-    cells *= C
-    cells += labels
-    counts = np.bincount(cells.ravel(), minlength=P * nb * C).reshape(P, nb, C)
-    inst = class_counts.astype(np.float64)
-    active = inst > 0
-    totals = counts.sum(axis=2).astype(np.float64)
-    occupied = totals > 0
-    frac = counts[:, :, active] / (np.where(occupied, totals, 1.0)[:, :, None] * inst[active])
-    gini = (frac * frac * inst[active]).reshape(P, -1).sum(axis=1)
-    return gini + fitcfg.alpha * (occupied.sum(axis=1) / min(nb, n))
 
 
 def _rank(scored: list[ScoredTree]) -> tuple[ScoredTree, ...]:
@@ -245,23 +223,23 @@ def _rank(scored: list[ScoredTree]) -> tuple[ScoredTree, ...]:
 
 
 def evolve_generation(pop, data: LabeledDataset, cfg: TrainerConfig,
-                      stream: RngStream, carried=()) -> GenerationResult:
+                      stream: RngStream, scores=None) -> GenerationResult:
     """One generation: score, rank, keep the top ``gap``, refill by breeding.
 
-    ``carried`` holds the already scored leading programs of ``pop``: the
-    previous generation's survivors (``ranked[:gap]``) on the same ``data``.
-    Only the rest of ``pop`` is scored; the ranking sees the same programs
-    in the same order either way.
+    ``scores`` maps a program's ``code`` to its :class:`ScoredTree` on
+    ``data``; only the distinct programs it lacks are scored, then added.
+    :func:`train` shares one table across an epoch's generations, so each
+    program is scored at most once on its residual.
 
     Each offspring slot k draws from its own child stream ``stream.child(k)``:
     a uniform parent from the survivor pool, one grow step, then parameter
     mutation.  The bred population is the survivors followed by offspring.
     """
-    if any(s.tree is not t for s, t in zip(carried, pop)) or len(carried) > len(pop):
-        raise ValueError("carried programs must be the leading programs of pop")
-    scored = list(carried) + score_population(pop[len(carried):], data,
-                                              cfg.fitness_config(), cfg.workers)
-    ranked = _rank(scored)
+    scores = {} if scores is None else scores
+    new = list({t.code: t for t in pop if t.code not in scores}.values())
+    for s in score_population(new, data, cfg.fitness_config(), cfg.workers):
+        scores[s.tree.code] = s
+    ranked = _rank([scores[t.code] for t in pop])
     survivors = [s.tree for s in ranked[:cfg.gap]]
     offspring = []
     for k in range(cfg.new_pop_size - cfg.gap):
@@ -332,13 +310,13 @@ def train(data: LabeledDataset, cfg: TrainerConfig) -> EnsembleStack:
         pop: tuple[ProgramTree, ...] = tuple(
             init_stump(data.d, epoch.child(0, i).generator())
             for i in range(cfg.new_pop_size))
-        champion, carried = None, ()
+        champion, scores = None, {}
         for j in range(1, cfg.max_gp_epoch + 1):
-            result = evolve_generation(pop, residual, cfg, epoch.child(j), carried=carried)
+            result = evolve_generation(pop, residual, cfg, epoch.child(j), scores)
             champion = find_champion(result.ranked, cfg.gap, best_fit, cfg.beta, b)
             if champion is not None:
                 break
-            pop, carried = result.next_pop, result.ranked[:cfg.gap]
+            pop = result.next_pop
         log.epoch_seconds.append(time.perf_counter() - t_epoch)
         if champion is None:
             log.stalled = True

@@ -1,17 +1,19 @@
-"""Batched fixed-mode scoring and survivor carry-over, checked against the
-per-program path.
+"""Batched fixed-mode scoring and the per-epoch score table, checked
+against the per-program path and against scoring every generation afresh.
 
 ``score_population`` scores a fixed-mode population in batches when a bin
 table has fewer than 8 cells; every fitness must equal ``gini_fitness`` of
-``fit_histogram`` bit for bit, and the histogram a batched score builds on
-first read must equal the one ``fit_histogram`` returns.
+``fit_histogram`` bit for bit, and the histogram a score builds on first
+read must equal the one ``fit_histogram`` returns.  Within a boost epoch
+each program is scored once on its residual, and sharing that table must
+not change what training writes.
 """
 
 import numpy as np
 import pytest
 
 import gpstack.training as training
-from gpstack.binning import BinHistogram, FitnessConfig, fit_histogram, gini_fitness
+from gpstack.binning import FitnessConfig, fit_histogram, gini_fitness
 from gpstack.dataset import LabeledDataset
 from gpstack.model import dumps
 from gpstack.programs import (RngStream, format_tree, grow_clone, init_stump, mutate_params,
@@ -43,6 +45,12 @@ def reference(pop, data, fitcfg):
 
 def bits(values):
     return [float(v).hex() for v in values]
+
+
+def assert_same_histogram(a, b):
+    assert a.geometry == b.geometry
+    for name in ("keys", "reps", "counts", "record_inverse"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def three_classes_one_missing(rng, n):
@@ -109,8 +117,9 @@ def test_large_tables_take_the_per_program_path(num_bin, num_classes, histogram_
     fitcfg = FitnessConfig(num_bin=num_bin)
     scored = score_population(pop, data, fitcfg)
     assert histogram_calls == pop
-    assert all(isinstance(s._histogram, BinHistogram) for s in scored)
     assert bits(s.fitness for s in scored) == bits(reference(pop, data, fitcfg))
+    for s in scored:
+        assert_same_histogram(s.histogram, fit_histogram(s.tree, data, fitcfg))
 
 
 def test_lazy_histogram_equals_fit_histogram(histogram_calls):
@@ -121,11 +130,9 @@ def test_lazy_histogram_equals_fit_histogram(histogram_calls):
     scored = score_population(pop, data, fitcfg)
     assert histogram_calls == []
     for s in scored:
-        lazy, direct = s.histogram, fit_histogram(s.tree, data, fitcfg)
+        lazy = s.histogram
         assert s.histogram is lazy  # built once, then kept
-        assert lazy.geometry == direct.geometry
-        for name in ("keys", "reps", "counts", "record_inverse"):
-            assert np.array_equal(getattr(lazy, name), getattr(direct, name))
+        assert_same_histogram(lazy, fit_histogram(s.tree, data, fitcfg))
     assert histogram_calls == pop
 
 
@@ -169,19 +176,19 @@ def test_empty_population():
     assert score_population([], data, FitnessConfig()) == []
 
 
-def run_epoch(data, cfg, carry, generations=6):
-    """Ranked fitnesses and bred populations of one boost epoch."""
+def run_epoch(data, cfg, shared, generations=6):
+    """Ranked fitnesses and bred populations of one boost epoch, scored
+    with one table for the epoch or a fresh table each generation."""
     epoch = RngStream(cfg.seed).child(1)
     pop = tuple(init_stump(data.d, epoch.child(0, i).generator())
                 for i in range(cfg.new_pop_size))
-    carried, trace = (), []
+    scores, trace = {}, []
     for j in range(1, generations + 1):
-        result = evolve_generation(pop, data, cfg, epoch.child(j), carried=carried)
+        result = evolve_generation(pop, data, cfg, epoch.child(j), scores if shared else None)
         trace.append((bits(s.fitness for s in result.ranked),
                       [format_tree(t) for t in result.next_pop]))
         pop = result.next_pop
-        carried = result.ranked[:cfg.gap] if carry else ()
-    return trace
+    return trace, scores
 
 
 @pytest.mark.parametrize("float_resolution", [False, True])
@@ -191,38 +198,98 @@ def test_carry_over_matches_rescoring(seed, float_resolution, histogram_calls):
     cfg = TrainerConfig(new_pop_size=12, gap=4, beta=0.9, seed=seed,
                         float_resolution=float_resolution,
                         alpha=0.4 if float_resolution else 0.0)
-    rescored = run_epoch(data, cfg, carry=False)
+    rescored, _ = run_epoch(data, cfg, shared=False)
     del histogram_calls[:]
-    carried = run_epoch(data, cfg, carry=True)
+    carried, scores = run_epoch(data, cfg, shared=True)
     assert carried == rescored
-    if float_resolution:  # first generation scores all, later ones only offspring
-        assert len(histogram_calls) == 12 + 5 * (12 - 4)
+    if float_resolution:  # each distinct program once, in the order first met
+        assert [t.code for t in histogram_calls] == list(scores)
 
 
 def test_carried_survivors_are_not_scored_again(monkeypatch):
     data = random_dataset(np.random.default_rng(8), n=40, d=3)
     cfg = TrainerConfig(new_pop_size=10, gap=3)
     stream = RngStream(0).child(1)
-    first = evolve_generation(tuple(parse_tree(f"(attr {i % 3})") for i in range(10)),
-                              data, cfg, stream.child(1))
     evaluated = []
     real = training.eval_batch
     monkeypatch.setattr(training, "eval_batch",
-                        lambda tree, records: evaluated.append(tree) or real(tree, records))
-    second = evolve_generation(first.next_pop, data, cfg, stream.child(2),
-                               carried=first.ranked[:3])
-    assert evaluated == list(first.next_pop[3:])
-    assert all(any(s is c for s in second.ranked) for c in first.ranked[:3])
+                        lambda tree, records: evaluated.append(tree.code) or real(tree, records))
+    scores = {}
+    first = evolve_generation(tuple(parse_tree(f"(attr {i % 3})") for i in range(10)),
+                              data, cfg, stream.child(1), scores)
+    assert evaluated == [parse_tree(f"(attr {i})").code for i in range(3)]
+    kept = dict(scores)
+    del evaluated[:]
+    second = evolve_generation(first.next_pop, data, cfg, stream.child(2), scores)
+    assert evaluated == list(dict.fromkeys(t.code for t in first.next_pop if t.code not in kept))
+    assert all(any(s is kept[c.tree.code] for s in second.ranked) for c in first.ranked[:3])
 
 
-def test_carried_must_lead_the_population():
-    data = random_dataset(np.random.default_rng(9), n=30, d=2)
-    cfg = TrainerConfig(new_pop_size=6, gap=2)
-    pop = tuple(parse_tree(f"(attr {i % 2})") for i in range(6))
-    result = evolve_generation(pop, data, cfg, RngStream(0).child(1, 1))
-    with pytest.raises(ValueError, match="leading programs"):
-        evolve_generation(result.next_pop[::-1], data, cfg, RngStream(0).child(1, 2),
-                          carried=result.ranked[:2])
+@pytest.mark.parametrize("float_resolution", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_training_bytes_equal_a_fresh_table_per_generation(seed, float_resolution,
+                                                           monkeypatch):
+    data = random_dataset(np.random.default_rng(40 + seed), n=70, d=3)
+    cfg = TrainerConfig(max_boost_epoch=12, max_gp_epoch=8, new_pop_size=14, gap=5,
+                        beta=0.9, seed=seed, float_resolution=float_resolution,
+                        alpha=0.4 if float_resolution else 0.0)
+    shared = dumps(train(data, cfg))
+    real = training.evolve_generation
+    monkeypatch.setattr(training, "evolve_generation",
+                        lambda pop, data, cfg, stream, scores: real(pop, data, cfg, stream))
+    assert dumps(train(data, cfg)) == shared
+
+
+def coarse_noise(seed):
+    """Labels independent of four-valued attributes: float32 bins stay mixed."""
+    rng = np.random.default_rng(seed)
+    return LabeledDataset(rng.integers(0, 4, size=(80, 2)).astype(np.float64),
+                          rng.integers(0, 2, size=80), ("a", "b"))
+
+
+@pytest.mark.parametrize("float_resolution", [False, True])
+def test_no_program_is_scored_twice_on_one_residual(float_resolution, monkeypatch):
+    """Within an epoch each residual is one dataset object; the calls made
+    while scoring are keyed by it, so a repeat means a program was scored
+    twice on one residual.  The champion search's histogram reads and the
+    residual's replay run outside scoring and are not counted."""
+    data = (coarse_noise(11) if float_resolution
+            else random_dataset(np.random.default_rng(11), n=80, d=2))
+    cfg = TrainerConfig(max_boost_epoch=8, max_gp_epoch=6, new_pop_size=12, gap=4,
+                        beta=0.8 if float_resolution else 0.9,
+                        float_resolution=float_resolution,
+                        alpha=0.4 if float_resolution else 0.0)
+    calls, pops, alive, scoring = [], [], [], [False]
+
+    def watch(name, fn):
+        def wrapped(tree, where, *rest):
+            if scoring[0]:
+                alive.append(where)  # keeps ids unique for the whole run
+                calls.append((name, id(where), tree.code))
+            return fn(tree, where, *rest)
+        return wrapped
+
+    def scoring_only(fn):
+        def wrapped(*args):
+            scoring[0] = True
+            try:
+                return fn(*args)
+            finally:
+                scoring[0] = False
+        return wrapped
+
+    real_generation = training.evolve_generation
+    monkeypatch.setattr(training, "evolve_generation",
+                        lambda pop, *rest: pops.append(pop) or real_generation(pop, *rest))
+    monkeypatch.setattr(training, "score_population", scoring_only(training.score_population))
+    # fit_histogram gets the residual, eval_batch its records array
+    monkeypatch.setattr(training, "fit_histogram", watch("fit_histogram", training.fit_histogram))
+    monkeypatch.setattr(training, "eval_batch", watch("eval_batch", training.eval_batch))
+    stack = train(data, cfg)
+    assert stack.depth >= 2 and len(pops) > stack.depth + 1  # some epoch breeds
+    first = [t.code for t in pops[0]]
+    assert len(set(first)) < len(first)  # the first population repeats stumps
+    assert calls and len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("seed", range(3))

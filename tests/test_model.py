@@ -1,5 +1,8 @@
 """Model text format: round-trips, byte stability, corrupt inputs."""
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from gpstack.dataset import LabeledDataset
 from gpstack.model import MAGIC, ModelFormatError, dumps, load_model, loads, save_model
 from gpstack.training import TrainerConfig, train
 
+from golden_cases import GOLDEN_DIR
 from helpers import random_dataset, separable_dataset
 
 
@@ -76,6 +80,13 @@ class TestRoundTrip:
         stack = train(data, TrainerConfig(max_boost_epoch=5, seed=0))
         back = loads(dumps(stack))
         assert back.classes == ("benign traffic", "bot net")
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.model"))),
+                             ids=os.path.basename)
+    def test_golden_model_saves_back_byte_for_byte(self, path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        assert dumps(loads(text)) == text
 
     def test_empty_stack_round_trip(self):
         data = separable_dataset(seed=4)
@@ -220,6 +231,45 @@ class TestCorruptInput:
         lines[i + 1] = lines[i]
         with pytest.raises(ModelFormatError, match="not in strictly ascending"):
             loads("\n".join(lines) + "\n")
+
+    @staticmethod
+    def replace_line(prefix, new, after=0):
+        """A model's lines with the first line from ``after`` on that starts
+        with ``prefix`` replaced by ``new``, and that line's number."""
+        lines = dumps(trained_stack(0)).splitlines()
+        idx = next(i for i, l in enumerate(lines) if i >= after and l.startswith(prefix))
+        lines[idx] = new
+        return "\n".join(lines) + "\n", idx + 1
+
+    # each parses to a value whose canonical text differs from the input
+    @pytest.mark.parametrize("prefix,new", [
+        ("tree ", "tree (attr 0_1)"),
+        ("tree ", "tree (attr +1)"),
+        ("tree ", "tree (attr \u0661)"),
+        ("tree ", "tree (add (attr 0) (const 1_0.5))"),
+        ("attributes ", "attributes +3"),
+        ("attributes ", "attributes 03"),
+        ("seed ", "seed 0_0"),
+        ("beta ", "beta 9e-1"),
+    ])
+    def test_text_saving_would_not_write_rejected(self, prefix, new):
+        text, number = self.replace_line(prefix, new)
+        with pytest.raises(ModelFormatError,
+                           match=f"line {number}: .* is not as saving writes it"):
+            loads(text)
+
+    @pytest.mark.parametrize("new,message", [
+        ("beta -1.0", r"beta must lie in \(0, 1\]"),
+        ("beta 0.0", r"beta must lie in \(0, 1\]"),
+        ("fitness inf", "fitness must be finite"),
+        ("fitness nan", "fitness must be finite"),
+    ])
+    def test_entry_value_out_of_range_rejected(self, new, message):
+        lines = dumps(trained_stack(0)).splitlines()
+        text, number = self.replace_line(new.split(" ")[0] + " ", new,
+                                         after=lines.index("entry 1"))
+        with pytest.raises(ModelFormatError, match=f"line {number}: {message}"):
+            loads(text)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):

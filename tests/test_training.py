@@ -24,7 +24,7 @@ def one_col(values, labels, classes=("a", "b")):
 def scored(tree_text, data, cfg=FitnessConfig()):
     tree = parse_tree(tree_text)
     hist = fit_histogram(tree, data, cfg)
-    return ScoredTree(tree, gini_fitness(hist, data.class_counts(), cfg.alpha), hist)
+    return ScoredTree(tree, gini_fitness(hist, data.class_counts(), cfg.alpha), lambda: hist)
 
 
 class TestTrainerConfig:
