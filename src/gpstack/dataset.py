@@ -62,10 +62,13 @@ class LabeledDataset:
         return int(np.argmax(self.class_counts()))
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
-        """Dataset restricted to ``indices`` (order preserved)."""
+        """Dataset restricted to ``indices`` (order preserved).
+
+        Fancy indexing already copies, so the new arrays share no memory
+        with this dataset's; like every dataset's, they are read-only.
+        """
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.records[idx].copy(), self.labels[idx].copy(),
-                              self.classes, self.columns)
+        return LabeledDataset(self.records[idx], self.labels[idx], self.classes, self.columns)
 
 
 @dataclass(frozen=True)
@@ -262,18 +265,21 @@ def stratified_split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledData
 def remove_records(data: LabeledDataset, indices: np.ndarray) -> LabeledDataset | None:
     """Dataset without the rows named by ``indices``; None when all rows go.
 
-    Indices must be unique and in range.  Remaining records keep their
-    relative order.
+    Indices must be unique and in range, in any order and shape.  Remaining
+    records keep their relative order.  Uniqueness is checked without a
+    sort: the indices are unique exactly when clearing them leaves
+    ``n - len(indices)`` rows.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return data.take(np.arange(data.n))
     if idx.min() < 0 or idx.max() >= data.n:
         raise DatasetError("removal index out of range")
-    if np.unique(idx).size != idx.size:
-        raise DatasetError("removal indices must be unique")
     keep = np.ones(data.n, dtype=bool)
     keep[idx] = False
-    if not keep.any():
+    kept = np.count_nonzero(keep)
+    if kept != data.n - idx.size:
+        raise DatasetError("removal indices must be unique")
+    if not kept:
         return None
     return data.take(np.flatnonzero(keep))

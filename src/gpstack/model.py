@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .binning import AmbiguousBin, IntervalGeometry, PureBin, key_reps
+import numpy as np
+
+from .binning import AmbiguousBin, IntervalGeometry, PureBin, key_reps, locate_bins
 from .programs import TreeFormatError, format_tree, parse_tree
 from .training import ChampionEntry, EnsembleStack, TrainerConfig, TrainingLog
 
@@ -84,8 +86,8 @@ class _Cursor:
         self.pos += 1
         return line
 
-    def fail(self, message: str):
-        raise ModelFormatError(f"line {self.pos}: {message}")
+    def fail(self, message: str, line: int | None = None):
+        raise ModelFormatError(f"line {self.pos if line is None else line}: {message}")
 
     def expect(self, keyword: str) -> list[str]:
         line = self.next()
@@ -113,8 +115,19 @@ def loads(text: str) -> EnsembleStack:
     ascending in the value the lookups search: the key in fixed mode, the
     rep in float32 mode.  A fixed-mode bin's key must lie in
     ``[0, num_bin)`` and its rep must be exactly the one its key and the
-    entry's geometry give.  An entry's ``beta`` must lie in (0, 1] and its
-    ``fitness`` must be finite.  Last, the text must be what :func:`dumps`
+    entry's geometry give; a float32-mode bin's key must be the bits of its
+    rep, and its rep a float32 value.  An entry's ``beta`` must lie in
+    (0, 1] and its ``fitness`` must be finite.
+
+    The stack must also be one training can write.  Every entry's ``beta``
+    is the header's.  Entries' ``fitness`` rises strictly from 0 (each
+    champion beats the last), and their ``boost_epoch`` rises strictly from
+    1 up to at most ``max_boost_epoch``.
+    A pure bin holds ``0 < y_star <= total`` with ``y_star / total >= beta``.
+    An entry claims exactly its pure bins' records, so ``records_claimed``
+    is the sum of their ``total``s, and ``residual_sizes`` holds one
+    non-negative size more than there are entries, falling by each entry's
+    ``records_claimed``.  Last, the text must be what :func:`dumps`
     writes for the stack it holds, line for line, so number spellings the
     writer never emits (``+1``, ``1_0``, ``007``, non-ASCII digits) are
     rejected rather than silently rewritten on the next save.
@@ -151,10 +164,13 @@ def loads(text: str) -> EnsembleStack:
         cur.fail("majority_class out of range")
 
     parts = cur.expect("residual_sizes")
+    sizes_line = cur.pos
     try:
         residual_sizes = [int(p) for p in parts if p != ""]
     except ValueError:
         cur.fail("residual_sizes must be integers")
+    if any(v < 0 for v in residual_sizes):
+        cur.fail("residual_sizes must be non-negative")
     stalled = cur.scalar("stalled", int, "an integer")
     if stalled not in (0, 1):
         cur.fail("stalled must be 0 or 1")
@@ -168,12 +184,17 @@ def loads(text: str) -> EnsembleStack:
         cur.fail(f"invalid configuration: {exc}")
 
     n_entries = cur.scalar("entries", int, "an integer")
+    if len(residual_sizes) != n_entries + 1:
+        cur.fail(f"residual_sizes holds {len(residual_sizes)} values, "
+                 f"{n_entries} entries need {n_entries + 1}", sizes_line)
     entries: list[ChampionEntry] = []
     for k in range(1, n_entries + 1):
         idx = cur.scalar("entry", int, "an integer")
         if idx != k:
             cur.fail(f"expected entry {k}, found {idx}")
-        entries.append(_parse_entry(cur, n_classes, n_attributes, mode))
+        entries.append(_parse_entry(cur, n_classes, n_attributes, mode, config,
+                                    entries[-1] if entries else None,
+                                    residual_sizes[k - 1] - residual_sizes[k]))
     tail = cur.next()
     if tail != "end":
         cur.fail(f"expected final 'end', found {tail!r}")
@@ -189,15 +210,32 @@ def loads(text: str) -> EnsembleStack:
     return stack
 
 
-def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> ChampionEntry:
+def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str,
+                 config: TrainerConfig, prev: ChampionEntry | None,
+                 residual_step: int) -> ChampionEntry:
+    """One entry, checked against the header and the entry before it;
+    ``residual_step`` is how much ``residual_sizes`` falls at this entry."""
     boost_epoch = cur.scalar("boost_epoch", int, "an integer")
+    last_epoch = prev.boost_epoch if prev else 0
+    if not last_epoch < boost_epoch <= config.max_boost_epoch:
+        cur.fail(f"boost_epoch must lie in ({last_epoch}, {config.max_boost_epoch}]")
     fitness = cur.scalar("fitness", float, "a float")
     if not math.isfinite(fitness):
         cur.fail("fitness must be finite")
+    bar = prev.fitness if prev else 0.0
+    if not fitness > bar:
+        cur.fail(f"fitness must exceed {bar!r}, the fitness bar training sets here")
     claimed = cur.scalar("records_claimed", int, "an integer")
+    claimed_line = cur.pos
+    if claimed != residual_step:
+        cur.fail(f"records_claimed {claimed} disagrees with residual_sizes, "
+                 f"which fall by {residual_step} here")
     beta = cur.scalar("beta", float, "a float")
     if not 0.0 < beta <= 1.0:
         cur.fail("beta must lie in (0, 1]")
+    if beta != config.beta:
+        cur.fail(f"beta {beta!r} differs from the header's {config.beta!r}, "
+                 "which training gives every entry")
 
     parts = cur.expect("geometry")
     if len(parts) != 4:
@@ -221,6 +259,7 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> 
             cur.fail(f"program reads attribute {arg}, model has {n_attributes} attributes")
 
     n_pure = cur.scalar("pure_bins", int, "an integer")
+    first_pure = cur.pos + 1
     pure: list[PureBin] = []
     for _ in range(n_pure):
         parts = cur.expect("pure")
@@ -233,11 +272,22 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> 
             cur.fail("cannot parse pure bin fields")
         if not 0 <= b.label < n_classes:
             cur.fail("pure bin label out of range")
+        if not 0 < b.y_star <= b.total:
+            cur.fail("pure bin needs 0 < y_star <= total")
+        if b.y_star / b.total < beta:
+            cur.fail(f"pure bin's majority share {b.y_star}/{b.total} is below beta {beta!r}")
         if mode == "fixed":
             _check_fixed_rep(cur, geometry, b)
         pure.append(b)
     _check_ascending(cur, "pure", pure, mode)
+    if mode == "float32":
+        _check_float32_keys(cur, geometry, pure, first_pure)
+    totals = sum(b.total for b in pure)
+    if totals != claimed:
+        cur.fail(f"records_claimed {claimed} is not the sum of the pure bins' totals, "
+                 f"{totals}", claimed_line)
     n_ambig = cur.scalar("ambiguous_bins", int, "an integer")
+    first_ambig = cur.pos + 1
     ambiguous: list[AmbiguousBin] = []
     for _ in range(n_ambig):
         parts = cur.expect("ambig")
@@ -251,6 +301,8 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str) -> 
             _check_fixed_rep(cur, geometry, b)
         ambiguous.append(b)
     _check_ascending(cur, "ambiguous", ambiguous, mode)
+    if mode == "float32":
+        _check_float32_keys(cur, geometry, ambiguous, first_ambig)
     if cur.next() != "end":
         cur.fail("expected 'end' after entry")
     return ChampionEntry(tree, fitness, geometry, tuple(pure), tuple(ambiguous),
@@ -266,6 +318,19 @@ def _check_fixed_rep(cur: _Cursor, geometry: IntervalGeometry, b) -> None:
         cur.fail(f"bin key {b.key} out of range")
     if rep != b.rep:
         cur.fail(f"bin rep {b.rep!r} disagrees with key {b.key}, which gives {rep!r}")
+
+
+def _check_float32_keys(cur: _Cursor, geometry: IntervalGeometry, bins: list,
+                        first_line: int) -> None:
+    # one vectorised pass, as float32 bin tables can be large
+    reps = np.array([b.rep for b in bins], dtype=np.float64)
+    bits = locate_bins(geometry, reps)
+    bad = key_reps(geometry, bits) != reps
+    bad |= np.array([b.key != k for b, k in zip(bins, bits.tolist())], dtype=bool)
+    if bad.any():
+        i = int(np.argmax(bad))
+        cur.fail(f"bin key {bins[i].key} and rep {bins[i].rep!r} are not one float32 value, "
+                 f"whose bits would be {int(bits[i])}", first_line + i)
 
 
 def _check_ascending(cur: _Cursor, kind: str, bins: list, mode: str) -> None:

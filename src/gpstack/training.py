@@ -4,10 +4,11 @@ Training runs in boost epochs.  Each epoch evolves a fresh population of
 programs against the current residual dataset, picks the first
 sufficiently fit program whose histogram has at least one pure bin (the
 champion), pushes it onto the stack, and removes every record that landed
-in one of its pure bins: the records its compiled lookup
-(``ChampionEntry.lookup``, the one answer rule deployment uses) answers.
-The next epoch only ever sees the leftovers, so later programs specialize
-on what earlier ones could not separate.
+in one of its pure bins.  Those records are read from the histogram the
+champion search built on the residual; on that data they are exactly the
+records its compiled lookup (``ChampionEntry.lookup``, the one answer rule
+deployment uses) answers.  The next epoch only ever sees the leftovers,
+so later programs specialize on what earlier ones could not separate.
 
 The fitness bar ratchets: a champion must score strictly above the best
 champion fitness seen so far in the run.  An epoch that produces no
@@ -268,19 +269,23 @@ def find_champion(ranked, gap: int, best_fit: float, beta: float,
     return None
 
 
-def extract_residual(champion: ChampionEntry, data: LabeledDataset
-                     ) -> tuple[LabeledDataset | None, np.ndarray]:
+def extract_residual(champion: ChampionEntry, data: LabeledDataset,
+                     histogram: BinHistogram) -> tuple[LabeledDataset | None, np.ndarray]:
     """Remove every record that falls in one of the champion's pure bins.
 
-    The champion's program is replayed on ``data`` and answered by its
-    lookup.  On the data it was fitted on every output lands in a stored
-    bin, so the records removed are exactly the ones its pure bins counted
-    at fit time, minority members included.  Sets
-    ``champion.records_claimed`` and returns (residual dataset or None when
-    nothing is left, claimed indices).
+    ``histogram`` is the champion's histogram fitted on ``data``; its
+    ``record_inverse`` names each record's bin, so the claimed records are
+    read from it in one pass, with no replay of the program.  These are
+    exactly the records the pure bins counted at fit time, minority members
+    included, and the records the champion's lookup answers on ``data``.
+    Sets ``champion.records_claimed`` and returns (residual dataset or None
+    when nothing is left, claimed indices, ascending).
     """
-    hit, _ = champion.lookup.answer(eval_batch(champion.tree, data.records))
-    claimed = np.flatnonzero(hit)
+    if histogram.n_records != data.n:
+        raise ValueError(f"histogram was fitted on {histogram.n_records} records, "
+                         f"the data holds {data.n}")
+    pure = np.isin(histogram.keys, [b.key for b in champion.pure_bins])
+    claimed = np.flatnonzero(pure[histogram.record_inverse])
     champion.records_claimed = int(claimed.size)
     return remove_records(data, claimed), claimed
 
@@ -322,7 +327,9 @@ def train(data: LabeledDataset, cfg: TrainerConfig) -> EnsembleStack:
             log.stalled = True
             break
         best_fit = champion.fitness
-        residual, _ = extract_residual(champion, residual)
+        # the champion's histogram, which find_champion has built and cached
+        histogram = next(s.histogram for s in result.ranked if s.tree is champion.tree)
+        residual, _ = extract_residual(champion, residual, histogram)
         entries.append(champion)
         log.residual_sizes.append(0 if residual is None else residual.n)
 

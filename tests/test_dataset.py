@@ -210,6 +210,22 @@ class TestRemoveRecords:
         with pytest.raises(DatasetError):
             remove_records(data, np.array([1, 1]))
 
+    @pytest.mark.parametrize("indices", [[1, 1], [0, 0, 3], list(range(5)) * 2,
+                                         [[0, 2], [2, 4]]],
+                             ids=["pair", "leading-pair", "every-index-twice", "2-d"])
+    def test_duplicates_rejected_without_sorting(self, indices):
+        data = random_dataset(np.random.default_rng(4), n=5, d=1)
+        with pytest.raises(DatasetError, match="unique"):
+            remove_records(data, np.array(indices))
+
+    def test_unsorted_and_2d_indices_accepted(self):
+        data = random_dataset(np.random.default_rng(4), n=6, d=1)
+        for indices in ([4, 0, 2], [[4, 0], [2, 5]]):
+            out = remove_records(data, np.array(indices))
+            keep = np.setdiff1d(np.arange(6), np.ravel(indices))
+            np.testing.assert_array_equal(out.labels, data.labels[keep])
+            np.testing.assert_array_equal(out.records, data.records[keep])
+
     def test_composition(self):
         # removing A then B equals removing A union B in one shot
         data = random_dataset(np.random.default_rng(5), n=20, d=2)
@@ -227,6 +243,16 @@ class TestLabeledDataset:
             data.records[0, 0] = 99.0
         with pytest.raises(ValueError):
             data.labels[0] = 1
+
+    @pytest.mark.parametrize("indices", [[3, 0, 3], list(range(5))], ids=["repeat", "all"])
+    def test_take_copies_once_into_read_only_arrays(self, indices):
+        data = random_dataset(np.random.default_rng(6), n=5, d=2)
+        out = data.take(np.array(indices))
+        for new, old in ((out.records, data.records), (out.labels, data.labels)):
+            assert not np.shares_memory(new, old)
+            assert not new.flags.writeable
+        np.testing.assert_array_equal(out.records, data.records[indices])
+        np.testing.assert_array_equal(out.labels, data.labels[indices])
 
     def test_majority_tie_goes_to_lower_index(self):
         data = LabeledDataset(np.zeros((4, 1)), np.array([0, 0, 1, 1]), ("a", "b"))

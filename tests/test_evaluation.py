@@ -20,14 +20,20 @@ def one_col(values, labels, classes=("a", "b")):
 
 
 def manual_stack(entries, majority=1, n_attributes=1):
+    """Stack with the log training writes: each level's residual falls by
+    the records its pure bins claimed, down to none."""
+    sizes = [sum(e.records_claimed for e in entries)]
+    for e in entries:
+        sizes.append(sizes[-1] - e.records_claimed)
     return EnsembleStack(tuple(entries), ("a", "b"), n_attributes, majority,
-                         TrainerConfig(), TrainingLog(residual_sizes=[0]))
+                         TrainerConfig(), TrainingLog(residual_sizes=sizes))
 
 
 def fixed_entry(pure, ambiguous=(), lo=0.0, hi=10.0, num_bin=2, boost_epoch=1):
     return ChampionEntry(parse_tree("(attr 0)"), 1.0,
                          IntervalGeometry("fixed", lo, hi, num_bin),
-                         tuple(pure), tuple(ambiguous), 0.99, boost_epoch)
+                         tuple(pure), tuple(ambiguous), 0.99, boost_epoch,
+                         sum(b.total for b in pure))
 
 
 def f32(x):
@@ -37,7 +43,8 @@ def f32(x):
 def float_entry(pure, ambiguous=(), boost_epoch=1):
     return ChampionEntry(parse_tree("(attr 0)"), 1.0,
                          IntervalGeometry("float32", 0.0, 10.0, 2 ** 32),
-                         tuple(pure), tuple(ambiguous), 0.6, boost_epoch)
+                         tuple(pure), tuple(ambiguous), 0.6, boost_epoch,
+                         sum(b.total for b in pure))
 
 
 class TestFixedModeRouting:

@@ -6,7 +6,8 @@ reach float64's extremes, record by record:
 
 * ``evaluate`` answers as the scalar reference ``predict_record`` does;
 * ``extract_residual`` claims exactly the records the champion's histogram
-  put in pure bins (``record_inverse``);
+  put in pure bins (``record_inverse``), and these are exactly the records
+  its deployed lookup answers on the residual;
 * every fixed-mode key lies in ``[0, num_bin)`` and the model file loads.
 """
 
@@ -20,7 +21,7 @@ from gpstack.binning import (FitnessConfig, IntervalGeometry, bin_table, fit_his
 from gpstack.dataset import LabeledDataset
 from gpstack.evaluation import evaluate, predict_record
 from gpstack.model import dumps, loads
-from gpstack.programs import grow_clone, init_stump, mutate_params, parse_tree
+from gpstack.programs import eval_batch, grow_clone, init_stump, mutate_params, parse_tree
 from gpstack.training import (ChampionEntry, EnsembleStack, TrainerConfig, TrainingLog,
                               extract_residual, preset, train)
 
@@ -74,26 +75,31 @@ def pure_members(hist, pure):
 
 
 def random_stack(rng, data, float_resolution, num_bin):
-    """Stack built as training builds one, from random programs; checks
-    each extracted residual against the champion's pure-bin membership."""
-    entries, residual = [], data
+    """Stack built as training builds one, from random programs, with the
+    log training would write; checks that each extracted residual is the
+    champion's pure-bin membership and exactly what its deployed lookup
+    answers on that residual."""
+    entries, residual, log = [], data, TrainingLog(residual_sizes=[data.n])
     programs = random_programs(rng, data.d)
+    beta = float(rng.uniform(0.7, 1.0))
     while residual is not None and len(entries) < 8:
         tree = next(programs)
-        beta = float(rng.uniform(0.7, 1.0))
         fitcfg = FitnessConfig(beta=beta, num_bin=num_bin, float_resolution=float_resolution)
         hist = fit_histogram(tree, residual, fitcfg)
         pure, ambiguous = bin_table(hist, beta)
         if not pure:
             continue
-        entry = ChampionEntry(tree, 1.0, hist.geometry, pure, ambiguous, beta, len(entries) + 1)
+        k = len(entries) + 1
+        entry = ChampionEntry(tree, float(k), hist.geometry, pure, ambiguous, beta, k)
         expected = pure_members(hist, pure)
-        residual, claimed = extract_residual(entry, residual)
+        answered, _ = entry.lookup.answer(eval_batch(tree, residual.records))
+        residual, claimed = extract_residual(entry, residual, hist)
         assert claimed.tolist() == expected.tolist()
+        assert np.flatnonzero(answered).tolist() == claimed.tolist()
         entries.append(entry)
-    cfg = TrainerConfig(num_bin=num_bin, float_resolution=float_resolution)
-    return EnsembleStack(tuple(entries), data.classes, data.d, data.majority_class(), cfg,
-                         TrainingLog(residual_sizes=[data.n]))
+        log.residual_sizes.append(0 if residual is None else residual.n)
+    cfg = TrainerConfig(num_bin=num_bin, float_resolution=float_resolution, beta=beta)
+    return EnsembleStack(tuple(entries), data.classes, data.d, data.majority_class(), cfg, log)
 
 
 def assert_evaluate_matches_predict_record(stack, data):

@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from gpstack.binning import IntervalGeometry, key_reps
+from gpstack.binning import IntervalGeometry, PureBin, key_reps
 from gpstack.dataset import LabeledDataset
 from gpstack.model import MAGIC, ModelFormatError, dumps, load_model, loads, save_model
-from gpstack.training import TrainerConfig, train
+from gpstack.programs import parse_tree
+from gpstack.training import ChampionEntry, EnsembleStack, TrainerConfig, TrainingLog, train
 
 from golden_cases import GOLDEN_DIR
 from helpers import random_dataset, separable_dataset
@@ -86,6 +87,18 @@ class TestRoundTrip:
     def test_golden_model_saves_back_byte_for_byte(self, path):
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
+        assert dumps(loads(text)) == text
+
+    def test_stalled_stack_round_trip(self):
+        # four separable records, then two identical ones with different labels:
+        # the run claims the four and stalls on the pair
+        data = LabeledDataset(np.array([[0.0]] * 4 + [[5.0]] * 2),
+                              np.array([0, 0, 0, 0, 0, 1]), ("a", "b"))
+        stack = train(data, TrainerConfig(max_boost_epoch=5, max_gp_epoch=3, new_pop_size=6,
+                                          gap=2))
+        assert stack.log.stalled and stack.depth >= 1
+        assert stack.log.residual_sizes[-1] == 2
+        text = dumps(stack)
         assert dumps(loads(text)) == text
 
     def test_empty_stack_round_trip(self):
@@ -277,3 +290,153 @@ class TestCorruptInput:
 
     def test_header_is_versioned(self):
         assert dumps(trained_stack(0)).startswith(MAGIC + "\n")
+
+
+def golden_model(name):
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def with_line(text, number, new):
+    """``text`` with its 1-based line ``number`` replaced by ``new``."""
+    lines = text.split("\n")
+    lines[number - 1] = new
+    return "\n".join(lines)
+
+
+class TestStacksTrainingCannotWrite:
+    """Text that saves back unchanged but that no training run writes.
+
+    Edits of ``fixed_seed0.model``: 8 entries, ``max_boost_epoch 8``,
+    ``residual_sizes`` on line 16; entry 1's ``boost_epoch``, ``fitness`` and
+    ``records_claimed 4`` on lines 20-22 and its one pure bin (4 of 4) on
+    line 27; entry 2 starts on line 31, entry 8's ``records_claimed 1`` is
+    line 106.
+    """
+
+    @pytest.mark.parametrize("number,new,at,message", [
+        (21, "fitness 0.0", 21, r"fitness must exceed 0\.0"),
+        (21, "fitness -0.5", 21, r"fitness must exceed 0\.0"),
+        (33, "fitness 0.021641968807983553", 33, "fitness must exceed 0.021641968807983553"),
+        (33, "fitness 0.02", 33, "fitness must exceed"),
+        (23, "beta 0.9", 23, "beta 0.9 differs from the header's 0.99"),
+        (20, "boost_epoch 0", 20, r"boost_epoch must lie in \(0, 8\]"),
+        (32, "boost_epoch 1", 32, r"boost_epoch must lie in \(1, 8\]"),
+        (104, "boost_epoch 9", 104, r"boost_epoch must lie in \(7, 8\]"),
+        (27, "pure 1 12.136480963810582 1 4 5", 27, "0 < y_star <= total"),
+        (27, "pure 1 12.136480963810582 1 4 0", 27, "0 < y_star <= total"),
+        (27, "pure 1 12.136480963810582 1 0 0", 27, "0 < y_star <= total"),
+        (27, "pure 1 12.136480963810582 1 5 4", 27, "4/5 is below beta 0.99"),
+        (27, "pure 1 12.136480963810582 1 5 5", 22,
+         "records_claimed 4 is not the sum of the pure bins' totals, 5"),
+        (16, "residual_sizes 140 136 135 132 130 126 125 120", 16,
+         "residual_sizes holds 8 values, 8 entries need 9"),
+        (16, "residual_sizes 140 136 135 132 130 126 125 120 119 119", 16,
+         "residual_sizes holds 10 values"),
+        (16, "residual_sizes 141 136 135 132 130 126 125 120 119", 22,
+         "records_claimed 4 disagrees with residual_sizes, which fall by 5 here"),
+        (16, "residual_sizes 140 136 135 132 130 126 125 120 118", 106,
+         "records_claimed 1 disagrees with residual_sizes, which fall by 2 here"),
+        (16, "residual_sizes 140 136 135 132 130 126 125 120 -1", 16,
+         "residual_sizes must be non-negative"),
+    ])
+    def test_fixed_model_edit_rejected(self, number, new, at, message):
+        text = with_line(golden_model("fixed_seed0.model"), number, new)
+        with pytest.raises(ModelFormatError, match=f"^line {at}: .*{message}"):
+            loads(text)
+
+    def test_consistent_claim_edit_loads(self):
+        # the records_claimed identity holds for other numbers too: one more
+        # record in entry 1's pure bin and in the first residual
+        text = golden_model("fixed_seed0.model")
+        text = with_line(text, 16, "residual_sizes 141 136 135 132 130 126 125 120 119")
+        text = with_line(text, 22, "records_claimed 5")
+        text = with_line(text, 27, "pure 1 12.136480963810582 1 5 5")
+        assert dumps(loads(text)) == text
+
+    # rounded_float32_seed0.model: first pure bin on line 27, first
+    # ambiguous bin on line 73
+    @pytest.mark.parametrize("number,new", [
+        (27, "pure 3227097499 -3.4000000953674316 0 1 1"),  # key one bit off
+        (27, "pure 3227097498 -3.4 0 1 1"),  # rep not a float32 value
+        (27, "pure -1067869798 -3.4000000953674316 0 1 1"),  # the bits as int32
+        (73, "ambig 3201092814 -0.4000000059604645"),
+        (73, "ambig 3201092813 -0.4000000059604646"),
+    ])
+    def test_float32_key_must_be_the_bits_of_its_rep(self, number, new):
+        text = with_line(golden_model("rounded_float32_seed0.model"), number, new)
+        with pytest.raises(ModelFormatError,
+                           match=f"^line {number}: bin key .* are not one float32 value"):
+            loads(text)
+
+    @pytest.mark.parametrize("rep", ["0.0", "-0.0"])
+    def test_negative_zero_bits_rejected(self, rep):
+        # -0.0 is binned as +0.0, so its bit pattern is never a stored key
+        entry = ChampionEntry(parse_tree("(attr 0)"), 1.0,
+                              IntervalGeometry("float32", 0.0, 1.0, 2 ** 32),
+                              (PureBin(0, 0.0, 0, 2, 2), PureBin(1065353216, 1.0, 1, 2, 2)),
+                              (), 0.6, 1, 4)
+        stack = EnsembleStack((entry,), ("a", "b"), 1, 0,
+                              TrainerConfig(float_resolution=True, beta=0.6),
+                              TrainingLog(residual_sizes=[4, 0]))
+        text = dumps(stack)
+        assert dumps(loads(text)) == text
+        number = text.split("\n").index("pure 0 0.0 0 2 2") + 1
+        with pytest.raises(ModelFormatError, match=f"^line {number}: bin key 2147483648"):
+            loads(with_line(text, number, f"pure 2147483648 {rep} 0 2 2"))
+
+
+# tokens a mutant may put in place of one token of a model file
+MUTANT_TOKENS = ["0", "1", "-1", "2", "3", "8", "10", "+1", "0_1", "01", "1.0", "0.5", "-0.0",
+                 "0.0", "1e-320", "1e999", "-1e999", "nan", "inf", "99999999999999999999",
+                 "-99999999999999999999", "4294967296", "2147483648", "", "x", "(", ")",
+                 "end", "pure", "ambig", "entry", "(attr", "(const", "\u0661"]
+
+
+def one_token_mutant(text, rng):
+    """``text`` with one space-separated token of one line replaced,
+    nudged, deleted, duplicated or swapped with a token from elsewhere."""
+    lines = text.split("\n")[:-1]
+    i = int(rng.integers(len(lines)))
+    tokens = lines[i].split(" ")
+    j = int(rng.integers(len(tokens)))
+    op = int(rng.integers(5))
+    if op == 0:
+        tokens[j] = MUTANT_TOKENS[int(rng.integers(len(MUTANT_TOKENS)))]
+    elif op == 1:  # nudge a number
+        try:
+            value = int(tokens[j])
+            tokens[j] = str(value + int(rng.choice([-1, 1])))
+        except ValueError:
+            try:
+                value = float(tokens[j])
+                tokens[j] = repr(float(np.nextafter(value, rng.choice([-np.inf, np.inf]))))
+            except ValueError:
+                tokens[j] += "0"
+    elif op == 2:
+        del tokens[j]
+    elif op == 3:
+        tokens.insert(j, tokens[j])
+    else:
+        other = lines[int(rng.integers(len(lines)))].split(" ")
+        tokens[j] = other[int(rng.integers(len(other)))]
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.model"))),
+                         ids=os.path.basename)
+def test_one_token_mutants_are_rejected_or_saved_back_unchanged(path):
+    text = golden_model(os.path.basename(path))
+    rng = np.random.default_rng([2026, len(text)])
+    loaded = rejected = 0
+    for _ in range(300):
+        mutant = one_token_mutant(text, rng)
+        try:
+            stack = loads(mutant)
+        except ModelFormatError:
+            rejected += 1
+            continue
+        assert dumps(stack) == mutant
+        loaded += mutant != text
+    assert rejected > 150 and loaded > 0

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gpstack import training
 from gpstack.binning import FitnessConfig, bin_table, fit_histogram, gini_fitness
 from gpstack.dataset import LabeledDataset
 from gpstack.model import dumps
@@ -162,13 +163,13 @@ class TestExtractResidual:
         hist = fit_histogram(tree, data, cfg)
         pure, ambiguous = bin_table(hist, beta)
         fitness = gini_fitness(hist, data.class_counts(), cfg.alpha)
-        return ChampionEntry(tree, fitness, hist.geometry, pure, ambiguous, beta, 1)
+        return ChampionEntry(tree, fitness, hist.geometry, pure, ambiguous, beta, 1), hist
 
     def test_partial_claim(self):
         data = one_col([0.0] * 5 + [1.0] * 4 + [1.0] * 3,
                        [0] * 5 + [1] * 4 + [0] * 3)
-        champ = self.make_champion("(attr 0)", data, beta=0.99)
-        residual, claimed = extract_residual(champ, data)
+        champ, hist = self.make_champion("(attr 0)", data, beta=0.99)
+        residual, claimed = extract_residual(champ, data, hist)
         # bin at 0.0 is pure (5 of class a); bin at 1.0 is 4/7 ambiguous
         assert champ.records_claimed == 5
         assert claimed.tolist() == [0, 1, 2, 3, 4]
@@ -178,8 +179,8 @@ class TestExtractResidual:
         values = [0.0] * 100 + [10.0] * 2
         labels = [0] * 99 + [1] + [1] * 2
         data = one_col(values, labels)
-        champ = self.make_champion("(attr 0)", data, beta=0.99)
-        residual, claimed = extract_residual(champ, data)
+        champ, hist = self.make_champion("(attr 0)", data, beta=0.99)
+        residual, claimed = extract_residual(champ, data, hist)
         # the 99:1 bin is pure at 0.99; its single minority record goes too
         assert champ.records_claimed == 102
         assert 99 in claimed.tolist()
@@ -187,9 +188,30 @@ class TestExtractResidual:
 
     def test_full_coverage_leaves_nothing(self):
         data = one_col([0.0, 0.0, 1.0, 1.0], [0, 0, 1, 1])
-        champ = self.make_champion("(attr 0)", data)
-        residual, claimed = extract_residual(champ, data)
+        champ, hist = self.make_champion("(attr 0)", data)
+        residual, claimed = extract_residual(champ, data, hist)
         assert residual is None and claimed.size == 4
+
+    @pytest.mark.parametrize("float_resolution", [False, True])
+    def test_program_is_not_replayed(self, monkeypatch, float_resolution):
+        data = random_dataset(np.random.default_rng(11), n=60, d=2)
+        champ, hist = self.make_champion("(add (attr 0) (attr 1))", data, beta=0.5,
+                                         float_resolution=float_resolution)
+
+        def replay(*args):
+            raise AssertionError("extract_residual ran the program")
+        monkeypatch.setattr(training, "eval_batch", replay)
+        residual, claimed = extract_residual(champ, data, hist)
+        assert claimed.size == champ.records_claimed > 0
+        assert (0 if residual is None else residual.n) == data.n - claimed.size
+
+    def test_histogram_of_other_data_rejected(self):
+        data = one_col([0.0, 0.0, 1.0, 1.0], [0, 0, 1, 1])
+        champ, hist = self.make_champion("(attr 0)", data)
+        bigger = one_col([0.0, 0.0, 1.0, 1.0, 1.0], [0, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match="fitted on 4 records"):
+            extract_residual(champ, bigger, hist)
+        assert champ.records_claimed == 0
 
     def test_replay_matches_fit_assignment(self):
         rng = np.random.default_rng(7)
