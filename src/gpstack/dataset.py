@@ -36,6 +36,11 @@ class LabeledDataset:
             raise DatasetError("labels must align with records")
         if self.records.shape[0] == 0:
             raise DatasetError("dataset has no records")
+        if self.records.shape[1] == 0:
+            raise DatasetError("dataset has no attributes")
+        if self.columns and len(self.columns) != self.records.shape[1]:
+            raise DatasetError(f"{len(self.columns)} column names for "
+                               f"{self.records.shape[1]} attributes")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= len(self.classes)):
             raise DatasetError("label index out of range")
         self.records.setflags(write=False)
@@ -222,15 +227,38 @@ def _resolve_label_column(header: list[str], label_column, path: str) -> int:
 
 
 def write_csv(data: LabeledDataset, path: str, label_column: str = "class") -> None:
-    """Write the dataset back out in the format :func:`load_csv` accepts."""
+    """Write the dataset back out in the format :func:`load_csv` accepts.
+
+    The header holds the column names (``x0``, ``x1``, ... when the dataset
+    has none) and ``label_column``; each row holds a record's values and its
+    class name last.  A value is written as the ``repr`` of a Python float,
+    the shortest text that reads back to the same float, so finite records
+    reload to the same bits.  Names are quoted as ``csv.writer`` quotes them.
+    Lines end in CRLF.
+
+    The text is built column by column: each distinct bit pattern in a
+    column is formatted once (so ``-0.0`` stays apart from ``0.0``), each
+    class name is quoted once, and the rows are joined in one pass.
+    """
     columns = data.columns or tuple(f"x{j}" for j in range(data.d))
+    records = np.asarray(data.records, dtype=np.float64)  # bits are float64 bits
+    cells = []
+    for j in range(data.d):
+        bits, inverse = np.unique(records[:, j].view(np.int64), return_inverse=True)
+        text = [repr(v) for v in bits.view(np.float64).tolist()]
+        cells.append(np.array(text, dtype=object)[inverse])
+    cells.append(np.array([_csv_field(c) for c in data.classes], dtype=object)[data.labels])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns) + [label_column])
-        for i in range(data.n):
-            row = [repr(v) for v in data.records[i].tolist()]
-            row.append(data.classes[data.labels[i]])
-            writer.writerow(row)
+        csv.writer(fh).writerow(list(columns) + [label_column])
+        fh.write("\r\n".join(map(",".join, zip(*cells))))
+        fh.write("\r\n")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 def stratified_split(data: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:

@@ -261,3 +261,19 @@ class TestLabeledDataset:
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
             LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ("a",))
+
+    def test_no_attributes_rejected(self):
+        # Each row would be the class name alone, a file load_csv rejects.
+        with pytest.raises(DatasetError, match="no attributes"):
+            LabeledDataset(np.zeros((3, 0)), np.array([0, 1, 0]), ("", "b"))
+
+    @pytest.mark.parametrize("columns", [("p",), ("p", "q", "r", "s")])
+    def test_column_names_must_match_attributes(self, columns):
+        # ("p",) on 3 attributes would write header "p,class" over 4-field rows.
+        with pytest.raises(DatasetError, match=f"{len(columns)} column names for 3 attributes"):
+            LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b"), columns)
+
+    def test_no_column_names_or_one_per_attribute_accepted(self):
+        for columns in ((), ("p", "q", "r")):
+            data = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b"), columns)
+            assert data.columns == columns
