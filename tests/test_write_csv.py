@@ -3,8 +3,8 @@
 ``reference_write_csv`` is the writer as it was before it built its text
 column by column: one ``csv.writer.writerow`` per record, with ``repr`` of
 each value.  For every dataset, ``write_csv`` must write the same bytes.
-Where all values are finite, ``load_csv`` must read the file back to the
-same records, row labels and column names.
+``load_csv`` must read a file of finite values back to the same records,
+row labels and column names, and reject a file holding a non-finite one.
 """
 
 import csv
@@ -31,7 +31,6 @@ def reference_write_csv(data, path, label_column="class"):
 # value whose repr needs all 17 digits.
 SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324,
                     -5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1 / 3, -2.5, 1.0])
-FINITE_SPECIAL = SPECIAL[np.isfinite(SPECIAL)]
 # Names that csv quotes (comma, quote, CR, LF) and names it leaves bare but a
 # careless writer might change (leading space, empty, non-ASCII).
 AWKWARD_NAMES = ["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "\r\n", " lead",
@@ -118,3 +117,12 @@ def test_line_ends_are_crlf(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(data, str(path))
     assert path.read_bytes() == b"x0,class\r\n1.0,a\r\n-0.0,b\r\n"
+
+
+def test_integer_records_are_written_as_floats(tmp_path):
+    # Formatting goes through the float64 bits, so other dtypes are converted
+    # first rather than having their bits read as floats.
+    data = LabeledDataset(np.array([[1, -2], [3, 4]]), np.array([0, 1]), ("a", "b"))
+    path = tmp_path / "out.csv"
+    write_csv(data, str(path))
+    assert path.read_bytes() == b"x0,x1,class\r\n1.0,-2.0,a\r\n3.0,4.0,b\r\n"
