@@ -241,7 +241,7 @@ def write_csv(data: LabeledDataset, path: str, label_column: str = "class") -> N
     class name is quoted once, and the rows are joined in one pass.
     """
     columns = data.columns or tuple(f"x{j}" for j in range(data.d))
-    records = np.asarray(data.records, dtype=np.float64)  # bits are float64 bits
+    records = np.asarray(data.records, dtype=np.float64)  # the int64 views below need float64
     cells = []
     for j in range(data.d):
         bits, inverse = np.unique(records[:, j].view(np.int64), return_inverse=True)
