@@ -92,6 +92,8 @@ class SplitSpec:
 # whole, plus NUL, which numpy's string arrays silently drop at a cell's end.
 _UNSPLIT_CHARS = "\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
+WRITE_CELLS = 2 ** 16     # cells of text write_csv builds before writing them
+
 
 def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset:
     """Load a headered CSV where one column holds class labels.
@@ -231,27 +233,32 @@ def write_csv(data: LabeledDataset, path: str, label_column: str = "class") -> N
 
     The header holds the column names (``x0``, ``x1``, ... when the dataset
     has none) and ``label_column``; each row holds a record's values and its
-    class name last.  A value is written as the ``repr`` of a Python float,
-    the shortest text that reads back to the same float, so finite records
-    reload to the same bits.  Names are quoted as ``csv.writer`` quotes them.
-    Lines end in CRLF.
+    class name last.  A value is written as the ``repr`` of the Python number
+    ``tolist`` gives for it; for a float that is the shortest text that reads
+    back to the same float, so finite records reload to the same bits.
+    Names are quoted as ``csv.writer`` quotes them.  Lines end in CRLF.
 
-    The text is built column by column: each distinct bit pattern in a
-    column is formatted once (so ``-0.0`` stays apart from ``0.0``), each
-    class name is quoted once, and the rows are joined in one pass.
+    The rows go out in blocks of about ``WRITE_CELLS`` cells, so memory does
+    not grow with the dataset.  Within a block the text is built column by
+    column: each distinct bit pattern in a column is formatted once (so
+    ``-0.0`` stays apart from ``0.0``), each class name is quoted once, and
+    the rows are joined in one pass.
     """
     columns = data.columns or tuple(f"x{j}" for j in range(data.d))
-    records = np.asarray(data.records, dtype=np.float64)  # the int64 views below need float64
-    cells = []
-    for j in range(data.d):
-        bits, inverse = np.unique(records[:, j].view(np.int64), return_inverse=True)
-        text = [repr(v) for v in bits.view(np.float64).tolist()]
-        cells.append(np.array(text, dtype=object)[inverse])
-    cells.append(np.array([_csv_field(c) for c in data.classes], dtype=object)[data.labels])
+    names = np.array([_csv_field(c) for c in data.classes], dtype=object)
+    step = max(1, WRITE_CELLS // (data.d + 1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(columns) + [label_column])
-        fh.write("\r\n".join(map(",".join, zip(*cells))))
-        fh.write("\r\n")
+        for start in range(0, data.n, step):
+            block = data.records[start:start + step]
+            cells = []
+            for column in block.T:
+                bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+                text = [repr(v) for v in bits.view(column.dtype).tolist()]
+                cells.append(np.array(text, dtype=object)[inverse])
+            cells.append(names[data.labels[start:start + step]])
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")
 
 
 def _csv_field(text: str) -> str:

@@ -1,8 +1,9 @@
 """Differential test of ``write_csv`` against the row-by-row writer.
 
 ``reference_write_csv`` is the writer as it was before it built its text
-column by column: one ``csv.writer.writerow`` per record, with ``repr`` of
-each value.  For every dataset, ``write_csv`` must write the same bytes.
+column by column in blocks: one ``csv.writer.writerow`` per record, with
+``repr`` of each value.  For every dataset, ``write_csv`` must write the
+same bytes.
 ``load_csv`` must read a file of finite values back to the same records,
 row labels and column names, and reject a file holding a non-finite one.
 """
@@ -12,6 +13,7 @@ import csv
 import numpy as np
 import pytest
 
+from gpstack import dataset
 from gpstack.dataset import DatasetError, LabeledDataset, load_csv, write_csv
 
 
@@ -119,10 +121,23 @@ def test_line_ends_are_crlf(tmp_path):
     assert path.read_bytes() == b"x0,class\r\n1.0,a\r\n-0.0,b\r\n"
 
 
-def test_integer_records_are_written_as_floats(tmp_path):
-    # Formatting goes through the float64 bits, so other dtypes are converted
-    # first rather than having their bits read as floats.
-    data = LabeledDataset(np.array([[1, -2], [3, 4]]), np.array([0, 1]), ("a", "b"))
-    path = tmp_path / "out.csv"
-    write_csv(data, str(path))
-    assert path.read_bytes() == b"x0,x1,class\r\n1.0,-2.0,a\r\n3.0,4.0,b\r\n"
+@pytest.mark.parametrize("records", [
+    np.array([[1, -2], [3, 1], [1, -2]]),
+    np.array([[0.1, -0.0], [0.0, 1e-5], [0.1, 3.0]], dtype=np.float32),
+    np.array([[True, False], [False, False], [True, True]]),
+], ids=["int64", "float32", "bool"])
+def test_same_bytes_for_other_dtypes(records, tmp_path):
+    # Values are formatted from the bits at the records' own width, so other
+    # dtypes are written as the row writer writes them, not as float64.
+    data = LabeledDataset(records, np.array([0, 1, 0]), ("a", "b"))
+    ours, theirs = write_both(data, tmp_path)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64])
+def test_same_bytes_across_blocks(cells, tmp_path, monkeypatch):
+    # Blocks of one row up to several rows, with the last block partial.
+    monkeypatch.setattr(dataset, "WRITE_CELLS", cells)
+    for name, data in CASES[:8]:
+        ours, theirs = write_both(data, tmp_path)
+        assert ours.read_bytes() == theirs.read_bytes(), name
