@@ -139,7 +139,14 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
+def _check_seed(args) -> None:
+    # before the CSV is parsed, and in the flag's own name
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+
+
 def cmd_train(args) -> int:
+    _check_seed(args)
     cfg = build_config(args)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -271,6 +278,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_split(args) -> int:
+    _check_seed(args)
     data = load_csv(args.data, _parse_label_col(args.label_col))
     train_part, test_part = stratified_split(data, SplitSpec(args.train_frac, args.seed))
     label_name = args.label_col if isinstance(_parse_label_col(args.label_col), str) else "class"

@@ -86,6 +86,8 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise DatasetError("train_fraction must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be non-negative, got {self.seed}")
 
 
 # Characters where str.splitlines() would cut a line that a csv reader keeps

@@ -10,6 +10,7 @@ real number; that number is what downstream histogram binning consumes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,17 +33,115 @@ class RngStream:
     Child streams extend the path, so every site in a run (population slot,
     generation, boost epoch) gets an independent generator that depends only
     on its address, never on how much randomness other sites consumed.
+
+    The stream at an address is numpy's ``PCG64(SeedSequence(seed,
+    spawn_key=path))``.  :meth:`generator` computes the SeedSequence hash
+    itself: the pool after ``seed`` and all of ``path`` but its last entry is
+    cached, so the siblings of one parent (a generation's offspring slots,
+    an epoch's initial stumps) each mix in only their own last entry.
     """
 
     seed: int
     path: tuple[int, ...] = ()
 
     def child(self, *ids: int) -> "RngStream":
-        return RngStream(self.seed, self.path + tuple(int(i) for i in ids))
+        return RngStream(self.seed, self.path + tuple(map(int, ids)))
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.PCG64(seq))
+        """A fresh, independent generator whose state equals
+        ``PCG64(SeedSequence(seed, spawn_key=path))``'s.  Raises
+        ``ValueError`` for a negative seed or path entry, as numpy does."""
+        pool, _ = _absorb(*_pool(self.seed, self.path[:-1]), self.path[-1:])
+        return np.random.Generator(np.random.PCG64(_words_seed()(_pcg64_words(pool))))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words,
+# pool size 4; NEP 19 keeps SeedSequence and PCG64 seeding stable.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as the 32-bit words SeedSequence reads, least significant first."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix_in(pool: list[int], h: int, word: int, skip: int = -1) -> int:
+    """Hash ``word`` into every pool word but ``skip``; returns the next hash
+    constant."""
+    for dst in range(4):
+        if dst != skip:
+            v = (word ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
+            v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
+            pool[dst] = v ^ v >> 16
+    return h
+
+
+def _absorb(pool: tuple[int, ...], h: int, ids) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant after mixing in the words of ``ids``."""
+    pool = list(pool)
+    for i in ids:
+        for word in _words(i):
+            h = _mix_in(pool, h, word)
+    return tuple(pool), h
+
+
+@functools.lru_cache(maxsize=64)
+def _pool(seed: int, path: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and hash constant after ``seed`` and ``path``."""
+    if path:
+        return _absorb(*_pool(seed, path[:-1]), path[-1:])
+    words = _words(seed)
+    words += [0] * (4 - len(words))  # numpy pads a short seed with zero words
+    pool, h = [], _INIT_A
+    for word in words[:4]:
+        v = (word ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
+        pool.append(v ^ v >> 16)
+    for src in range(4):
+        h = _mix_in(pool, h, pool[src], skip=src)
+    return _absorb(tuple(pool), h, words[4:])
+
+
+def _output_hash() -> tuple[tuple[int, int, int], ...]:
+    # generate_state's hash constant restarts at INIT_B, so each of its 8
+    # output words takes a fixed (pool index, xor, multiplier)
+    steps, h = [], _INIT_B
+    for i in range(8):
+        steps.append((i % 4, h, h := h * _MULT_B & _MASK32))
+    return tuple(steps)
+
+
+_OUTPUT_HASH = _output_hash()
+
+
+def _pcg64_words(pool: tuple[int, ...]) -> np.ndarray:
+    """What ``SeedSequence.generate_state(4, np.uint64)`` returns for a pool:
+    the four words PCG64 seeds itself from."""
+    out = [(pool[j] ^ x) * m & _MASK32 for j, x, m in _OUTPUT_HASH]
+    out = [v ^ v >> 16 for v in out]
+    return np.array([out[i] | out[i + 1] << 32 for i in (0, 2, 4, 6)], dtype=np.uint64)
+
+
+@functools.cache
+def _words_seed() -> type:
+    """numpy's ``ISeedSequence`` for seeding words computed in advance.  Made
+    on first use, so that importing gpstack does not import numpy.random."""
+
+    class WordsSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return WordsSeed
 
 
 @dataclass(frozen=True)

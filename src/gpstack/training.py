@@ -13,6 +13,13 @@ so later programs specialize on what earlier ones could not separate.
 The fitness bar ratchets: a champion must score strictly above the best
 champion fitness seen so far in the run.  An epoch that produces no
 champion stalls the run and training stops with whatever stack exists.
+
+Every draw comes from an :class:`RngStream` addressed by the run's seed and
+a path: boost epoch ``b``, then ``(0, i)`` for initial stump ``i`` or ``j``
+for generation ``j``, then slot ``k`` for that generation's ``k``-th
+offspring.  A generation's offspring are bred only when another generation
+follows it; each slot draws only from its own address, so a generation
+left unbred moves no other draw.
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ class TrainerConfig:
             raise ValueError("gap must lie between 1 and new_pop_size")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.fitness_config()  # validates beta/alpha/num_bin
 
     def fitness_config(self) -> FitnessConfig:
@@ -125,11 +134,16 @@ class ScoredTree:
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """Scored ranking of the incoming population and the population bred
-    from it."""
+    """Scored ranking of the incoming population, and ``breed``, which makes
+    the population bred from it on the first read of ``next_pop``; training
+    reads it only when another generation follows."""
 
     ranked: tuple[ScoredTree, ...]
-    next_pop: tuple[ProgramTree, ...]
+    breed: Callable[[], tuple[ProgramTree, ...]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def next_pop(self) -> tuple[ProgramTree, ...]:
+        return self.breed()
 
 
 @dataclass
@@ -225,30 +239,37 @@ def _rank(scored: list[ScoredTree]) -> tuple[ScoredTree, ...]:
 
 def evolve_generation(pop, data: LabeledDataset, cfg: TrainerConfig,
                       stream: RngStream, scores=None) -> GenerationResult:
-    """One generation: score, rank, keep the top ``gap``, refill by breeding.
+    """One generation: score and rank; breeding waits for ``next_pop``.
 
     ``scores`` maps a program's ``code`` to its :class:`ScoredTree` on
     ``data``; only the distinct programs it lacks are scored, then added.
     :func:`train` shares one table across an epoch's generations, so each
     program is scored at most once on its residual.
 
+    The next population is the top ``gap`` survivors followed by offspring.
     Each offspring slot k draws from its own child stream ``stream.child(k)``:
-    a uniform parent from the survivor pool, one grow step, then parameter
-    mutation.  The bred population is the survivors followed by offspring.
+    a uniform parent from the survivors, one grow step, then parameter
+    mutation.  No other draw depends on whether or when it is bred.
     """
     scores = {} if scores is None else scores
     new = list({t.code: t for t in pop if t.code not in scores}.values())
     for s in score_population(new, data, cfg.fitness_config(), cfg.workers):
         scores[s.tree.code] = s
     ranked = _rank([scores[t.code] for t in pop])
-    survivors = [s.tree for s in ranked[:cfg.gap]]
+    survivors = tuple(s.tree for s in ranked[:cfg.gap])
+    return GenerationResult(ranked, functools.partial(
+        _breed, survivors, data.d, cfg.new_pop_size - cfg.gap, stream))
+
+
+def _breed(survivors: tuple[ProgramTree, ...], d: int, n_offspring: int,
+           stream: RngStream) -> tuple[ProgramTree, ...]:
     offspring = []
-    for k in range(cfg.new_pop_size - cfg.gap):
+    for k in range(n_offspring):
         g = stream.child(k).generator()
         parent = survivors[int(g.integers(len(survivors)))]
-        child = grow_clone(parent, data.d, g)
-        offspring.append(mutate_params(child, data.d, g))
-    return GenerationResult(ranked, tuple(survivors) + tuple(offspring))
+        child = grow_clone(parent, d, g)
+        offspring.append(mutate_params(child, d, g))
+    return survivors + tuple(offspring)
 
 
 def find_champion(ranked, gap: int, best_fit: float, beta: float,
@@ -319,9 +340,9 @@ def train(data: LabeledDataset, cfg: TrainerConfig) -> EnsembleStack:
         for j in range(1, cfg.max_gp_epoch + 1):
             result = evolve_generation(pop, residual, cfg, epoch.child(j), scores)
             champion = find_champion(result.ranked, cfg.gap, best_fit, cfg.beta, b)
-            if champion is not None:
+            if champion is not None or j == cfg.max_gp_epoch:
                 break
-            pop = result.next_pop
+            pop = result.next_pop  # bred only here, for the generation that follows
         log.epoch_seconds.append(time.perf_counter() - t_epoch)
         if champion is None:
             log.stalled = True

@@ -138,6 +138,21 @@ class TestTrainCommand:
         assert rc == 0
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["train", "split"])
+    def test_rejected_before_the_csv_is_parsed(self, command, toy_csv, tmp_path, capsys,
+                                               monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the CSV was parsed")
+
+        monkeypatch.setattr(cli, "load_csv", never)
+        rc = main([command, "--data", toy_csv, "--seed", "-1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --seed must be non-negative, got -1"]
+
+
 class TestParseOnce:
     def test_train_parses_its_csv_once(self, noisy_csv, monkeypatch):
         calls = []
@@ -210,8 +225,8 @@ class TestEvaluateCommand:
         model = tmp_path / "m.model"
         assert main(["train", "--data", toy_csv, "--model", str(model)]) == 0
         other = tmp_path / "other.csv"
-        other.write_text(open(toy_csv, encoding="utf-8").read().replace(",pos", ",maybe"),
-                         encoding="utf-8")
+        with open(toy_csv, encoding="utf-8") as fh:
+            other.write_text(fh.read().replace(",pos", ",maybe"), encoding="utf-8")
         rc = main(["evaluate", "--data", str(other), "--model", str(model)])
         assert rc == 1
         err = capsys.readouterr().err

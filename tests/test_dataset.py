@@ -130,6 +130,10 @@ class TestStratifiedSplit:
         train, _ = stratified_split(data, SplitSpec(0.7, seed=2))
         assert train.class_counts().tolist() == [4, 7]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="seed must be non-negative, got -1"):
+            SplitSpec(0.7, seed=-1)
+
     def test_same_seed_same_split(self):
         data = self.make([20, 15])
         a_train, a_test = stratified_split(data, SplitSpec(0.6, seed=9))

@@ -345,6 +345,12 @@ class TestStacksTrainingCannotWrite:
         with pytest.raises(ModelFormatError, match=f"^line {at}: .*{message}"):
             loads(text)
 
+    def test_negative_seed_rejected(self):
+        # line 11 is the header's seed
+        text = with_line(golden_model("fixed_seed0.model"), 11, "seed -1")
+        with pytest.raises(ModelFormatError, match="seed must be non-negative, got -1"):
+            loads(text)
+
     def test_consistent_claim_edit_loads(self):
         # the records_claimed identity holds for other numbers too: one more
         # record in entry 1's pure bin and in the first residual

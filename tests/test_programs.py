@@ -128,6 +128,58 @@ class TestInitStump:
             init_stump(0, np.random.default_rng(0))
 
 
+def random_int(rng, max_bits):
+    """A non-negative integer of 0 to ``max_bits`` bits, 0 included."""
+    bits = int(rng.integers(0, max_bits + 1))
+    return int.from_bytes(rng.bytes(24), "little") >> (192 - bits)
+
+
+def numpy_generator(seed, path):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+class TestStreamsMatchNumpy:
+    """``RngStream.generator`` hashes the address itself; numpy's
+    SeedSequence is the reference it must equal."""
+
+    def test_random_addresses(self):
+        rng = np.random.default_rng(2024)
+        addresses = [(random_int(rng, 160),
+                      tuple(random_int(rng, 40) for _ in range(int(rng.integers(0, 5)))))
+                     for _ in range(3000)]
+        seeds = [seed for seed, _ in addresses]
+        entries = [i for _, path in addresses for i in path]
+        # the sample covers every case the hash treats apart
+        assert min(seeds) < 2 ** 32 <= max(seeds) and max(seeds) >= 2 ** 128
+        assert 0 in entries and max(entries) >= 2 ** 32
+        assert {len(path) for _, path in addresses} == {0, 1, 2, 3, 4}
+        for seed, path in addresses:
+            ours, ref = RngStream(seed, path).generator(), numpy_generator(seed, path)
+            assert ours.bit_generator.state == ref.bit_generator.state, (seed, path)
+            assert ours.random(3).tolist() == ref.random(3).tolist()
+            assert (ours.integers(0, 2 ** 63, 3).tolist()
+                    == ref.integers(0, 2 ** 63, 3).tolist())
+
+    def test_child_paths_match_numpy(self):
+        stream = RngStream(5).child(np.int64(3), 7).child(0)
+        assert stream.path == (3, 7, 0) and all(type(i) is int for i in stream.path)
+        assert (stream.generator().bit_generator.state
+                == numpy_generator(5, (3, 7, 0)).bit_generator.state)
+
+    @pytest.mark.parametrize("seed,path", [(0, (1, -1)), (0, (-1,)), (-1, ())])
+    def test_negative_word_rejected(self, seed, path):
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream(seed, path).generator()
+
+    def test_each_generator_is_fresh(self):
+        stream = RngStream(9).child(4, 2)
+        a, b = stream.generator(), stream.generator()
+        assert a is not b and a.bit_generator is not b.bit_generator
+        before = b.bit_generator.state
+        a.random(10)
+        assert b.bit_generator.state == before != a.bit_generator.state
+
+
 class TestGrowClone:
     def test_adds_exactly_two_nodes(self):
         rng = np.random.default_rng(2)

@@ -9,7 +9,8 @@ from gpstack import training
 from gpstack.binning import FitnessConfig, bin_table, fit_histogram, gini_fitness
 from gpstack.dataset import LabeledDataset
 from gpstack.model import dumps
-from gpstack.programs import RngStream, eval_batch, format_tree, parse_tree
+from gpstack.programs import (RngStream, eval_batch, format_tree, grow_clone, mutate_params,
+                              parse_tree)
 from gpstack.training import (ChampionEntry, PRESETS, ScoredTree, TrainerConfig,
                               evolve_generation, extract_residual, find_champion,
                               preset, score_population, train)
@@ -59,6 +60,10 @@ class TestTrainerConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             TrainerConfig(**bad)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            TrainerConfig(seed=-1)
 
 
 class TestEvolveGeneration:
@@ -117,6 +122,56 @@ class TestEvolveGeneration:
         a = score_population(pop, data, fitcfg, workers=1)
         b = score_population(pop, data, fitcfg, workers=4)
         assert [s.fitness for s in a] == [s.fitness for s in b]
+
+
+class TestLazyBreeding:
+    @pytest.fixture()
+    def grown(self, monkeypatch):
+        """Counts ``grow_clone`` calls at ``training``'s binding."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return grow_clone(*args)
+
+        monkeypatch.setattr(training, "grow_clone", counting)
+        return calls
+
+    def test_next_pop_equals_eager_breeding(self, grown):
+        data = random_dataset(np.random.default_rng(6), n=40, d=3)
+        cfg = TrainerConfig(new_pop_size=12, gap=4)
+        texts = ["(attr 0)", "(attr 1)", "(attr 2)", "(const 0.5)",
+                 "(add (attr 0) (attr 1))", "(mul (attr 2) (const 2.0))"]
+        pop = [parse_tree(t) for t in texts * 2]
+        stream = RngStream(8).child(1, 2)
+        result = evolve_generation(pop, data, cfg, stream)
+        assert grown == []  # scoring and ranking breed nothing
+        survivors = [s.tree for s in result.ranked[:cfg.gap]]
+        eager = list(survivors)
+        for k in range(cfg.new_pop_size - cfg.gap):
+            g = stream.child(k).generator()
+            parent = survivors[int(g.integers(len(survivors)))]
+            eager.append(mutate_params(grow_clone(parent, data.d, g), data.d, g))
+        assert [format_tree(t) for t in result.next_pop] == [format_tree(t) for t in eager]
+        assert result.next_pop is result.next_pop  # bred once
+        assert len(grown) == cfg.new_pop_size - cfg.gap
+
+    def test_train_breeds_only_generations_another_follows(self, grown, monkeypatch):
+        paths = []
+        evolve = training.evolve_generation
+
+        def recording(pop, data, cfg, stream, scores=None):
+            paths.append(stream.path)  # (boost epoch, generation)
+            return evolve(pop, data, cfg, stream, scores)
+
+        monkeypatch.setattr(training, "evolve_generation", recording)
+        data = random_dataset(np.random.default_rng(0), n=120, d=3)
+        cfg = TrainerConfig(max_gp_epoch=3, new_pop_size=8, gap=3, beta=0.9)
+        stack = train(data, cfg)
+        followed = len(paths) - len({b for b, _ in paths})
+        # champions after several generations, and a stalled last epoch
+        assert followed > 0 and stack.log.stalled
+        assert len(grown) == (cfg.new_pop_size - cfg.gap) * followed
 
 
 class TestFindChampion:
