@@ -15,7 +15,8 @@ value.  Empty bins are implicit.
 
 Every value-to-bin decision lives here: :func:`float32_values` is the one
 -0.0 normalisation, :func:`fixed_keys` the one fixed-mode key computation,
-and :class:`LevelLookup` the one per-level answer rule of a deployed stack.
+:func:`float32_counts` the float32 bin counts that scoring reads, and
+:class:`LevelLookup` the one per-level answer rule of a deployed stack.
 """
 
 from __future__ import annotations
@@ -125,6 +126,30 @@ def float32_values(values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=np.float64).astype(np.float32)
     v[v == 0] = np.float32(0.0)
     return v
+
+
+def float32_counts(values: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Class counts of the float32 bins of ``values``, as a (bins, classes)
+    int64 array in ascending value order: the ``counts`` of the float32
+    histogram :func:`fit_histogram` builds, from one sort and no inverse.
+
+    Each output's :func:`float32_values` bits become an int32 key that orders
+    as the value does (negative values have their magnitude bits flipped),
+    packed with the record's label as key * classes + label; one sort of the
+    packed keys and their run lengths give every occupied (bin, class) cell.
+    """
+    bits = float32_values(values).view(np.int32)
+    packed = (bits ^ ((bits >> 31) & 0x7FFFFFFF)).astype(np.int64)
+    packed *= num_classes
+    packed += labels
+    packed.sort()
+    starts = np.flatnonzero(np.concatenate(([True], packed[1:] != packed[:-1])))
+    runs = np.diff(starts, append=packed.size)
+    keys, cell_labels = np.divmod(packed[starts], num_classes)
+    bins = np.cumsum(np.concatenate(([True], keys[1:] != keys[:-1]))) - 1
+    counts = np.zeros((bins[-1] + 1, num_classes), dtype=np.int64)
+    counts[bins, cell_labels] = runs
+    return counts
 
 
 def fixed_keys(outputs: np.ndarray, lo: np.ndarray, hi: np.ndarray,

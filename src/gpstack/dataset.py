@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,10 +109,12 @@ def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset
     The file is read once into one string.  A columnar numpy parse is used
     when all of these hold: the text has no ``"`` (and none of the rare
     characters that split lines differently for ``str.splitlines`` and
-    ``csv``, nor NUL); ``np.loadtxt`` reads the attribute columns as float64
-    and the label column as ``str`` without error; every non-blank data line
+    ``csv``, nor NUL); one ``np.loadtxt`` pass reads the attribute columns as
+    float64, and the label column through a converter that codes each label
+    text in first-seen order, without error; every non-blank data line
     becomes one row; the data lines hold exactly n * (fields - 1) commas, so
-    no row has an extra field; and every value is finite.  Otherwise the
+    no row has an extra field; and every value is finite.  Its records are
+    a read-only view of that one table, not a copy.  Otherwise the
     per-cell loop over ``csv`` rows runs, which reads quoted fields and
     reports the exact row, column and field count of the first bad row.  Both
     paths give identical results on every input the columnar one accepts.
@@ -130,6 +133,9 @@ def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset
     lines = None
     if '"' not in text and not any(c in text for c in _UNSPLIT_CHARS):
         lines = text.splitlines()
+        # only the lines are read from here on; dropping the text lowers the
+        # parse's peak memory by its size
+        commas, text = text.count(","), None
     reader = csv.reader(io.StringIO(text, newline="") if lines is None else lines)
     try:
         header = next(reader, None)
@@ -144,7 +150,7 @@ def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset
     if not attr_idx:
         raise DatasetError(f"{path}: no attribute columns besides the label")
 
-    parsed = None if lines is None else _parse_columnar(text, lines, attr_idx, label_idx)
+    parsed = None if lines is None else _parse_columnar(commas, lines, attr_idx, label_idx)
     if parsed is None:
         parsed = _parse_rows(reader, header, attr_idx, label_idx, path)
     records, labels, classes = parsed
@@ -152,29 +158,44 @@ def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset
     return LabeledDataset(records, labels, classes, columns)
 
 
-def _parse_columnar(text: str, lines: list[str], attr_idx: list[int], label_idx: int):
+def _parse_columnar(commas: int, lines: list[str], attr_idx: list[int], label_idx: int):
     """(records, labels, classes) parsed by numpy, or None where the result
-    could differ from :func:`_parse_rows`; ``lines[0]`` is the header."""
+    could differ from :func:`_parse_rows`; ``lines[0]`` is the header and
+    ``commas`` counts the commas of the whole text.
+
+    One ``np.loadtxt`` pass reads the attribute columns as float64 and the
+    label column, last, through a converter that hands each new label text
+    the next code; the codes are then renumbered in sorted class order.
+    ``records`` is a view of the table without its label column: copying it
+    out would raise the parse's peak memory by a second table.
+    """
     n = len(lines) - 1 - lines.count("")
     if n == 0:
         return None
-    options = dict(delimiter=",", comments=None)
+    codes: defaultdict[str, int] = defaultdict()
+    codes.default_factory = codes.__len__  # first-seen codes, all in C
     try:
-        records = np.loadtxt(filter(None, itertools.islice(lines, 1, None)),
-                             dtype=np.float64, usecols=attr_idx, ndmin=2, **options)
-        names = np.loadtxt(filter(None, itertools.islice(lines, 1, None)),
-                           dtype=str, usecols=label_idx, ndmin=1, **options)
+        table = np.loadtxt(filter(None, itertools.islice(lines, 1, None)), dtype=np.float64,
+                           usecols=attr_idx + [label_idx],
+                           converters={label_idx: codes.__getitem__},
+                           ndmin=2, delimiter=",", comments=None)
     except ValueError:
         return None
+    records = table[:, :-1]
     # loadtxt ignores fields past the last column it uses; the comma count
     # rules out a row with an extra field.
     fields = len(attr_idx) + 1
-    if (records.shape != (n, len(attr_idx)) or names.shape != (n,)
-            or text.count(",") - lines[0].count(",") != n * (fields - 1)
-            or not np.isfinite(records).all()):
+    if (table.shape != (n, fields)
+            or commas - lines[0].count(",") != n * (fields - 1)
+            # NaN propagates through min and max: no (n, d) mask is needed
+            or not np.isfinite([records.min(), records.max()]).all()):
         return None
-    classes, labels = np.unique(names, return_inverse=True)
-    return records, labels.astype(np.int64), tuple(str(c) for c in classes)
+    names = list(codes)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    labels = rank[table[:, -1].astype(np.int64)]
+    return records, labels, tuple(names[i] for i in order)
 
 
 def _parse_rows(reader, header: list[str], attr_idx: list[int], label_idx: int, path: str):

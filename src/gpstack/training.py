@@ -32,9 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from .binning import (AmbiguousBin, BinHistogram, FitnessConfig, IntervalGeometry,
-                      LevelLookup, PureBin, bin_table, fit_histogram, fixed_keys,
-                      gini_fitness, gini_scores)
+from .binning import (FLOAT32_CAPACITY, AmbiguousBin, BinHistogram, FitnessConfig,
+                      IntervalGeometry, LevelLookup, PureBin, bin_table, fit_histogram,
+                      fixed_keys, float32_counts, gini_fitness, gini_scores)
 from .dataset import LabeledDataset, remove_records
 from .programs import ProgramTree, RngStream, eval_batch, grow_clone, init_stump, mutate_params
 
@@ -184,7 +184,12 @@ BATCH_CELLS = 2 ** 21
 def _score_one(tree: ProgramTree, data: LabeledDataset, fitcfg: FitnessConfig,
                class_counts: np.ndarray) -> ScoredTree:
     build = functools.partial(fit_histogram, tree, data, fitcfg)
-    return ScoredTree(tree, gini_fitness(build(), class_counts, fitcfg.alpha), build)
+    if not fitcfg.float_resolution:
+        return ScoredTree(tree, gini_fitness(build(), class_counts, fitcfg.alpha), build)
+    counts = float32_counts(eval_batch(tree, data.records), data.labels, data.num_classes)
+    fitness = gini_scores(counts[None], class_counts, fitcfg.alpha,
+                          min(FLOAT32_CAPACITY, data.n))[0]
+    return ScoredTree(tree, float(fitness), build)
 
 
 def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig,
@@ -195,9 +200,12 @@ def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig,
     classes) the population is scored in batches, in this thread, by
     :func:`gini_scores` on counts keyed by :func:`fixed_keys`; numpy sums
     fewer than 8 terms in order, so every fitness equals the per-program
-    :func:`gini_fitness` bit for bit.  Otherwise each program gets
-    :func:`fit_histogram` and :func:`gini_fitness`, split over ``workers``
-    threads; results are identical for any worker count.
+    :func:`gini_fitness` bit for bit.  Otherwise each program is scored on
+    its own, split over ``workers`` threads: in float32 mode by
+    :func:`gini_scores` on :func:`float32_counts`, which equal the counts of
+    :func:`fit_histogram`, so no histogram is built; in fixed mode by
+    :func:`fit_histogram` and :func:`gini_fitness`.  Results are identical
+    for any worker count.
     """
     counts = data.class_counts()
     if not fitcfg.float_resolution and fitcfg.num_bin * data.num_classes < 8:

@@ -4,7 +4,9 @@ against the per-program path and against scoring every generation afresh.
 ``score_population`` scores a fixed-mode population in batches when a bin
 table has fewer than 8 cells; every fitness must equal ``gini_fitness`` of
 ``fit_histogram`` bit for bit, and the histogram a score builds on first
-read must equal the one ``fit_histogram`` returns.  Within a boost epoch
+read must equal the one ``fit_histogram`` returns.  Float32 scoring counts
+bins from one sort (``float32_counts``); those counts, and so every
+fitness, must equal the histogram's bit for bit.  Within a boost epoch
 each program is scored once on its residual, and sharing that table must
 not change what training writes.
 """
@@ -13,11 +15,11 @@ import numpy as np
 import pytest
 
 import gpstack.training as training
-from gpstack.binning import FitnessConfig, fit_histogram, gini_fitness
+from gpstack.binning import FitnessConfig, fit_histogram, float32_counts, gini_fitness
 from gpstack.dataset import LabeledDataset
 from gpstack.model import dumps
-from gpstack.programs import (RngStream, format_tree, grow_clone, init_stump, mutate_params,
-                              parse_tree)
+from gpstack.programs import (FINITE_CLAMP, RngStream, eval_batch, format_tree, grow_clone,
+                              init_stump, mutate_params, parse_tree)
 from gpstack.training import TrainerConfig, evolve_generation, score_population, train
 
 from helpers import random_dataset
@@ -85,6 +87,21 @@ def histogram_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(training, "fit_histogram", counting)
+    return calls
+
+
+@pytest.fixture()
+def scored_calls(monkeypatch):
+    """Programs training runs to score them; histogram builds run them in
+    ``binning`` and are not counted."""
+    calls = []
+    real = training.eval_batch
+
+    def counting(tree, records):
+        calls.append(tree)
+        return real(tree, records)
+
+    monkeypatch.setattr(training, "eval_batch", counting)
     return calls
 
 
@@ -193,17 +210,17 @@ def run_epoch(data, cfg, shared, generations=6):
 
 @pytest.mark.parametrize("float_resolution", [False, True])
 @pytest.mark.parametrize("seed", range(4))
-def test_carry_over_matches_rescoring(seed, float_resolution, histogram_calls):
+def test_carry_over_matches_rescoring(seed, float_resolution, scored_calls):
     data = random_dataset(np.random.default_rng(seed), n=60, d=3)
     cfg = TrainerConfig(new_pop_size=12, gap=4, beta=0.9, seed=seed,
                         float_resolution=float_resolution,
                         alpha=0.4 if float_resolution else 0.0)
     rescored, _ = run_epoch(data, cfg, shared=False)
-    del histogram_calls[:]
+    del scored_calls[:]
     carried, scores = run_epoch(data, cfg, shared=True)
     assert carried == rescored
-    if float_resolution:  # each distinct program once, in the order first met
-        assert [t.code for t in histogram_calls] == list(scores)
+    # each distinct program once, in the order first met
+    assert [t.code for t in scored_calls] == list(scores)
 
 
 def test_carried_survivors_are_not_scored_again(monkeypatch):
@@ -301,3 +318,72 @@ def test_training_bytes_equal_the_per_program_path(seed, monkeypatch):
     monkeypatch.setattr(training, "_score_batched", lambda pop, data, fitcfg, counts: [
         training._score_one(t, data, fitcfg, counts) for t in pop])
     assert dumps(train(data, cfg)) == batched
+
+
+def labelled(rng, X, num_classes, missing=None):
+    """``X`` with random labels over ``num_classes`` classes, every class but
+    ``missing`` present."""
+    present = [c for c in range(num_classes) if c != missing]
+    labels = rng.choice(present, size=len(X)).astype(np.int64)
+    labels[:len(present)] = present
+    return LabeledDataset(X, labels, tuple("abcde"[:num_classes]))
+
+
+def assert_float32_scores_match(pop, data, alpha, histogram_calls):
+    fitcfg = FitnessConfig(beta=0.6, alpha=alpha, float_resolution=True)
+    del histogram_calls[:]
+    scored = score_population(pop, data, fitcfg)
+    assert histogram_calls == []  # no histogram was built to score
+    assert bits(s.fitness for s in scored) == bits(reference(pop, data, fitcfg))
+    for tree in pop:
+        counts = float32_counts(eval_batch(tree, data.records), data.labels, data.num_classes)
+        expected = fit_histogram(tree, data, fitcfg).counts
+        assert counts.dtype == expected.dtype and np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_float32_scores_equal_histogram_fitness(seed, num_classes, histogram_calls):
+    """Random programs over gridded attributes, a zero attribute that
+    ``(mul ... (const -1))`` turns into -0.0, and outputs clamped at
+    +-FINITE_CLAMP; the odd seeds' residual lacks a class."""
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(2 * num_classes, 90))
+    X = np.round(rng.normal(0.0, 1.0, size=(n, 3)), int(rng.integers(0, 3)))
+    X[rng.random(n) < 0.3, 0] = 0.0
+    data = labelled(rng, X, num_classes, missing=1 if seed % 2 else None)
+    pop = random_population(rng, data.d, 40)
+    pop += [parse_tree("(mul (attr 0) (const -1))"), parse_tree(f"(sub (const 0) {CLAMPED})")]
+    for alpha in (0.0, 0.4):
+        assert_float32_scores_match(pop, data, alpha, histogram_calls)
+
+
+F32 = np.finfo(np.float32)
+EXTREMES = [
+    FINITE_CLAMP, -FINITE_CLAMP, 0.0, -0.0, 1.0, 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40,
+    0.1, float(np.float32(0.1)), -0.1, float(F32.smallest_subnormal),
+    -float(F32.smallest_subnormal), 3 * float(F32.smallest_subnormal),
+    -3 * float(F32.smallest_subnormal), 1e-40, -1e-40, -1.0,
+    float(np.nextafter(np.float32(-1.0), np.float32(0.0))),
+    1e-46, -1e-46, float(F32.tiny), float(F32.max), -float(F32.max), 1e39, -1e39,
+    np.inf, -np.inf, 1e300, -1e300,
+]
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_scores_on_extreme_outputs(seed, num_classes, histogram_calls):
+    """-0.0 shares +0.0's bin, float64 values that round to one float32
+    share a bin, float32 subnormals keep their own, and outputs beyond the
+    float32 range fall into the +-inf bins."""
+    rng = np.random.default_rng(400 + seed)
+    column = rng.choice(EXTREMES, size=120)
+    column[:len(EXTREMES)] = EXTREMES
+    X = np.column_stack([column, rng.permutation(column)])
+    data = labelled(rng, X, num_classes, missing=num_classes - 1 if seed == 2 else None)
+    pop = [parse_tree("(attr 0)"), parse_tree("(attr 1)")]
+    for alpha in (0.0, 0.4):
+        assert_float32_scores_match(pop, data, alpha, histogram_calls)
+    reps = fit_histogram(pop[0], data, FitnessConfig(float_resolution=True)).reps
+    assert reps[0] == -np.inf and reps[-1] == np.inf and 0.0 in reps
+    assert np.count_nonzero(reps == 1.0) == 1 and np.float32(1e-40) in reps

@@ -241,3 +241,61 @@ def test_drawn_files(scratch_file, case):
     text, label = case
     write_text(scratch_file, text)
     assert_same(scratch_file, label)
+
+
+def parse_rows(path, label_column=None):
+    """(records, labels, classes) of the per-cell loop alone."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        label_idx = _resolve_label_column(header, label_column, path)
+        attr_idx = [i for i in range(len(header)) if i != label_idx]
+        return dataset._parse_rows(reader, header, attr_idx, label_idx, path)
+
+
+def assert_columnar_matches_rows(path, label_column, columnar_spy):
+    """The columnar path gives the result, equal to the per-cell loop's, and
+    its records are a read-only view of the parsed table, not a copy."""
+    data = load_csv(path, label_column)
+    assert columnar_spy == [True]
+    records, labels, classes = parse_rows(path, label_column)
+    assert data.records.tobytes() == records.tobytes()
+    assert data.labels.tolist() == labels.tolist() and data.classes == classes
+    assert not data.records.flags.writeable and data.records.base is not None
+    return data
+
+
+def test_numeric_looking_labels_stay_apart(tmp_path, columnar_spy):
+    path = str(tmp_path / "numeric.csv")
+    write_text(path, "a,class\n1,1\n2,1.0\n3,01\n4,1\n5,01\n")
+    data = assert_columnar_matches_rows(path, None, columnar_spy)
+    assert data.classes == ("01", "1", "1.0")
+    assert data.labels.tolist() == [1, 2, 0, 1, 0]
+
+
+def test_many_classes_first_seen_out_of_order(tmp_path, columnar_spy):
+    rng = np.random.default_rng(7)
+    names = [f"k{i}" for i in rng.permutation(300)]
+    rows = [f"{rng.normal()!r},{name}" for name in names + list(rng.choice(names, 200))]
+    path = str(tmp_path / "classes.csv")
+    write_text(path, "a,class\n" + "\n".join(rows) + "\n")
+    data = assert_columnar_matches_rows(path, None, columnar_spy)
+    assert data.classes == tuple(sorted(names)) and names != sorted(names)
+    assert [data.classes[k] for k in data.labels] == [row.split(",")[1] for row in rows]
+
+
+@pytest.mark.parametrize("label_idx", [0, 9])
+def test_label_column_among_twenty_attributes(label_idx, tmp_path, columnar_spy):
+    rng = np.random.default_rng(label_idx)
+    header = [f"x{j}" for j in range(20)]
+    header.insert(label_idx, "class")
+    lines = [",".join(header)]
+    for _ in range(40):
+        row = [random_cell(rng) for _ in range(20)]
+        row.insert(label_idx, str(rng.choice(["b", "a", "c"])))
+        lines.append(",".join(row))
+    path = str(tmp_path / "wide.csv")
+    write_text(path, "\n".join(lines) + "\n")
+    data = assert_columnar_matches_rows(path, "class", columnar_spy)
+    assert data.columns == tuple(f"x{j}" for j in range(20))
+    assert data.records.shape == (40, 20)

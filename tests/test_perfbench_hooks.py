@@ -32,8 +32,19 @@ def perfbench_modules(monkeypatch):
         sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("preset", ["small-fast", "large-fast"])
-def test_every_wrapped_name_is_bound_and_called(preset, perfbench_modules, tmp_path):
+# train options of each case, and the wrapped names a case may leave
+# uncalled: batched fixed-mode scoring and float32 scoring never call
+# gini_fitness, so a case with 8-cell fixed bin tables, which scores program
+# by program, shows that every wrapped name is called somewhere
+CASES = {
+    "small-fast": (["--preset", "small-fast"], {"binning.gini_fitness"}),
+    "large-fast": (["--preset", "large-fast"], {"binning.gini_fitness"}),
+    "fixed-4-bins": (["--preset", "small-fast", "--num-bin", "4"], set()),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_every_wrapped_name_is_bound_and_called(case, perfbench_modules, tmp_path):
     layers, spans = perfbench_modules
 
     class Recording(spans.Tracer):
@@ -51,20 +62,19 @@ def test_every_wrapped_name_is_bound_and_called(preset, perfbench_modules, tmp_p
     csv = str(tmp_path / "data.csv")
     write_csv(separable_dataset(n_per_class=60, d=3), csv)
     prefix, model = str(tmp_path / "part"), str(tmp_path / "m.model")
+    train_options, optional = CASES[case]
     tracer = Recording()
     layers.install(tracer)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["split", "--data", csv, "--seed", "0", "--out", prefix]) == 0
             assert main(["train", "--data", f"{prefix}_train.csv", "--model", model,
-                         "--preset", preset, "--boost-epochs", "3", "--seed", "0"]) == 0
+                         *train_options, "--boost-epochs", "3", "--seed", "0"]) == 0
             assert main(["evaluate", "--data", f"{prefix}_test.csv", "--model", model]) == 0
     finally:
         tracer.restore()
 
     assert len(tracer.wrapped) == 23
     assert all(getattr(owner, attr) is fn for owner, attr, _, fn in tracer.wrapped)
-    # batched fixed-mode scoring never calls gini_fitness; float32 scoring does
-    optional = {"binning.gini_fitness"} if preset == "small-fast" else set()
     names = {name for _, _, name, _ in tracer.wrapped}
     assert names - optional <= set(tracer.summary())
