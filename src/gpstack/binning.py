@@ -112,10 +112,6 @@ class BinHistogram:
     n_records: int
     num_classes: int
 
-    @property
-    def used_bins(self) -> int:
-        return int(self.keys.size)
-
 
 def float32_values(values: np.ndarray) -> np.ndarray:
     """Outputs rounded to single precision, with -0.0 normalized to +0.0.

@@ -281,11 +281,11 @@ def cmd_split(args) -> int:
     _check_seed(args)
     data = load_csv(args.data, _parse_label_col(args.label_col))
     train_part, test_part = stratified_split(data, SplitSpec(args.train_frac, args.seed))
-    label_name = args.label_col if isinstance(_parse_label_col(args.label_col), str) else "class"
     train_path = f"{args.out}_train.csv"
     test_path = f"{args.out}_test.csv"
-    write_csv(train_part, train_path, label_name)
-    write_csv(test_part, test_path, label_name)
+    # the parts keep the source's header name for the label column
+    write_csv(train_part, train_path, data.label_name)
+    write_csv(test_part, test_path, data.label_name)
     print(f"train {train_part.n} records -> {train_path}")
     print(f"test  {test_part.n} records -> {test_path}")
     return 0

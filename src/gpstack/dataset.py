@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -22,13 +21,15 @@ class LabeledDataset:
     ``records`` has shape (n, d) float64, ``labels`` shape (n,) int64 with
     values indexing into ``classes``.  ``classes`` holds the original label
     strings sorted lexicographically, so the encoding is stable across files
-    that contain the same label set.
+    that contain the same label set.  ``columns`` names the attributes and
+    ``label_name`` the label column, as in the header they were read from.
     """
 
     records: np.ndarray
     labels: np.ndarray
     classes: tuple[str, ...]
     columns: tuple[str, ...] = field(default=())
+    label_name: str = "class"
 
     def __post_init__(self) -> None:
         if self.records.ndim != 2:
@@ -74,7 +75,8 @@ class LabeledDataset:
         with this dataset's; like every dataset's, they are read-only.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.records[idx], self.labels[idx], self.classes, self.columns)
+        return LabeledDataset(self.records[idx], self.labels[idx], self.classes, self.columns,
+                              self.label_name)
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,13 @@ class SplitSpec:
             raise DatasetError(f"seed must be non-negative, got {self.seed}")
 
 
-# Characters where str.splitlines() would cut a line that a csv reader keeps
-# whole, plus NUL, which numpy's string arrays silently drop at a cell's end.
+# Characters that keep a file off the columnar parse: the line breaks of
+# str.splitlines() other than \r and \n, and NUL.  The line-based numpy pass
+# and the csv reader are not shown to agree on them, so such a file is read by
+# the per-cell loop.
 _UNSPLIT_CHARS = "\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
+SCAN_CHARS = 2 ** 16      # characters of text load_csv scans at a time
 WRITE_CELLS = 2 ** 16     # cells of text write_csv builds before writing them
 
 
@@ -106,37 +111,69 @@ def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset
     position; by default the last column is used.  All other cells must parse
     as finite floats; a bad cell is reported with its row and column.
 
-    The file is read once into one string.  A columnar numpy parse is used
-    when all of these hold: the text has no ``"`` (and none of the rare
-    characters that split lines differently for ``str.splitlines`` and
-    ``csv``, nor NUL); one ``np.loadtxt`` pass reads the attribute columns as
-    float64, and the label column through a converter that codes each label
-    text in first-seen order, without error; every non-blank data line
-    becomes one row; the data lines hold exactly n * (fields - 1) commas, so
-    no row has an extra field; and every value is finite.  Its records are
-    a read-only view of that one table, not a copy.  Otherwise the
-    per-cell loop over ``csv`` rows runs, which reads quoted fields and
-    reports the exact row, column and field count of the first bad row.  Both
-    paths give identical results on every input the columnar one accepts.
+    The file's text is never held whole.  A first pass reads it in blocks of
+    ``SCAN_CHARS`` characters and counts its commas.  When the text has no
+    ``"`` (nor NUL, nor a line break other than ``\r`` and ``\n``), the
+    columnar numpy parse reads the open file line by line: one
+    ``np.loadtxt`` pass reads the attribute columns as float64, and the label
+    column through a converter that codes each label text in first-seen
+    order.  Its result is used when that pass succeeds, the data lines hold
+    exactly n * (fields - 1) commas, so each non-blank line is one row with
+    the header's field count, and every value is finite.  Its records are a
+    read-only view of that one table, not a copy.  Otherwise the per-cell
+    loop over ``csv`` rows runs, which reads quoted fields and reports the
+    exact row, column and field count of the first bad row.  Both paths give
+    identical results on every input the columnar one accepts.
     """
-    try:
-        fh = open(path, "r", newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DatasetError(f"cannot open {path}: {exc}") from exc
-    with fh:
+    parsed = None
+    # universal newlines: \r and \r\n reach the scan and numpy as \n
+    with _open_text(path, newline=None) as fh:
         try:
-            text = fh.read()
+            header_line = fh.readline()
+            commas, plain = _scan(fh, header_line)
         except UnicodeDecodeError as exc:
             raise DatasetError(f"{path}: not UTF-8 text: cannot decode byte "
                                f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
-    # Without quotes a record is a line, so splitlines() gives csv's rows.
-    lines = None
-    if '"' not in text and not any(c in text for c in _UNSPLIT_CHARS):
-        lines = text.splitlines()
-        # only the lines are read from here on; dropping the text lowers the
-        # parse's peak memory by its size
-        commas, text = text.count(","), None
-    reader = csv.reader(io.StringIO(text, newline="") if lines is None else lines)
+        if plain:
+            # Without quotes a record is a line, so the header line is csv's
+            # first row.
+            header, label_idx, attr_idx = _read_header(
+                csv.reader(io.StringIO(header_line)), label_column, path)
+            fh.seek(0)
+            fh.readline()
+            parsed = _parse_columnar(fh, commas, attr_idx, label_idx)
+    if parsed is None:
+        with _open_text(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header, label_idx, attr_idx = _read_header(reader, label_column, path)
+            parsed = _parse_rows(reader, header, attr_idx, label_idx, path)
+    records, labels, classes = parsed
+    columns = tuple(header[c] for c in attr_idx)
+    return LabeledDataset(records, labels, classes, columns, header[label_idx])
+
+
+def _open_text(path: str, newline: str | None):
+    try:
+        return open(path, "r", newline=newline, encoding="utf-8-sig")
+    except OSError as exc:
+        raise DatasetError(f"cannot open {path}: {exc}") from exc
+
+
+def _scan(fh, header_line: str) -> tuple[int, bool]:
+    """(commas after the header line, whether the text is free of ``"`` and
+    ``_UNSPLIT_CHARS``), read from ``fh`` in blocks of ``SCAN_CHARS``."""
+    commas = 0
+    plain = True
+    block = header_line
+    while block:
+        plain = plain and '"' not in block and not any(c in block for c in _UNSPLIT_CHARS)
+        block = fh.read(SCAN_CHARS)
+        commas += block.count(",")
+    return commas, plain
+
+
+def _read_header(reader, label_column, path: str) -> tuple[list[str], int, list[int]]:
+    """(header, label index, attribute indices) from the first csv row."""
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -149,19 +186,13 @@ def load_csv(path: str, label_column: str | int | None = None) -> LabeledDataset
     attr_idx = [i for i in range(len(header)) if i != label_idx]
     if not attr_idx:
         raise DatasetError(f"{path}: no attribute columns besides the label")
-
-    parsed = None if lines is None else _parse_columnar(commas, lines, attr_idx, label_idx)
-    if parsed is None:
-        parsed = _parse_rows(reader, header, attr_idx, label_idx, path)
-    records, labels, classes = parsed
-    columns = tuple(header[c] for c in attr_idx)
-    return LabeledDataset(records, labels, classes, columns)
+    return header, label_idx, attr_idx
 
 
-def _parse_columnar(commas: int, lines: list[str], attr_idx: list[int], label_idx: int):
-    """(records, labels, classes) parsed by numpy, or None where the result
-    could differ from :func:`_parse_rows`; ``lines[0]`` is the header and
-    ``commas`` counts the commas of the whole text.
+def _parse_columnar(fh, commas: int, attr_idx: list[int], label_idx: int):
+    """(records, labels, classes) parsed by numpy from the lines left in
+    ``fh``, or None where the result could differ from :func:`_parse_rows`;
+    ``commas`` counts the commas of those lines.
 
     One ``np.loadtxt`` pass reads the attribute columns as float64 and the
     label column, last, through a converter that hands each new label text
@@ -169,24 +200,26 @@ def _parse_columnar(commas: int, lines: list[str], attr_idx: list[int], label_id
     ``records`` is a view of the table without its label column: copying it
     out would raise the parse's peak memory by a second table.
     """
-    n = len(lines) - 1 - lines.count("")
-    if n == 0:
+    # Every row holds at least one comma, so no commas means no rows (and
+    # loadtxt would warn about an empty input).
+    if commas == 0:
         return None
     codes: defaultdict[str, int] = defaultdict()
     codes.default_factory = codes.__len__  # first-seen codes, all in C
     try:
-        table = np.loadtxt(filter(None, itertools.islice(lines, 1, None)), dtype=np.float64,
-                           usecols=attr_idx + [label_idx],
+        # the open file, not its path: numpy would pick a decompressor by the
+        # path's suffix
+        table = np.loadtxt(fh, dtype=np.float64, usecols=attr_idx + [label_idx],
                            converters={label_idx: codes.__getitem__},
                            ndmin=2, delimiter=",", comments=None)
     except ValueError:
         return None
     records = table[:, :-1]
-    # loadtxt ignores fields past the last column it uses; the comma count
-    # rules out a row with an extra field.
-    fields = len(attr_idx) + 1
-    if (table.shape != (n, fields)
-            or commas - lines[0].count(",") != n * (fields - 1)
+    # A row loadtxt returns has at least fields - 1 commas, since usecols
+    # spans every field, and the only lines it skips are empty.  So the
+    # comma count rules out a row with an extra field.
+    n, fields = table.shape
+    if (commas != n * (fields - 1)
             # NaN propagates through min and max: no (n, d) mask is needed
             or not np.isfinite([records.min(), records.max()]).all()):
         return None

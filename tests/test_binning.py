@@ -57,7 +57,7 @@ class TestFixedGeometry:
             assert hist.counts.sum() == data.n
             assert hist.record_inverse.shape == (data.n,)
             assert np.all(hist.record_inverse >= 0)
-            assert np.all(hist.record_inverse < hist.used_bins)
+            assert np.all(hist.record_inverse < hist.keys.size)
 
 
 class TestFloat32Geometry:
@@ -65,7 +65,7 @@ class TestFloat32Geometry:
         data = one_col([1.0, 1.0, 2.5], [0, 0, 1])
         hist = fit_histogram(IDENT, data, FitnessConfig(float_resolution=True))
         assert hist.geometry.mode == "float32"
-        assert hist.used_bins == 2
+        assert hist.keys.size == 2
         assert hist.counts.tolist() == [[2, 0], [0, 1]]
         np.testing.assert_array_equal(hist.reps, [1.0, 2.5])
 
@@ -78,7 +78,7 @@ class TestFloat32Geometry:
     def test_negative_zero_merges_with_zero(self):
         data = one_col([0.0, -0.0, 1.0], [0, 0, 1])
         hist = fit_histogram(IDENT, data, FitnessConfig(float_resolution=True))
-        assert hist.used_bins == 2
+        assert hist.keys.size == 2
         assert hist.counts.tolist() == [[2, 0], [0, 1]]
 
     def test_values_beyond_float32_merge(self):
@@ -87,7 +87,7 @@ class TestFloat32Geometry:
         eps = 1e-12
         data = one_col([base, base + eps], [0, 1])
         hist = fit_histogram(IDENT, data, FitnessConfig(float_resolution=True))
-        assert hist.used_bins == 1
+        assert hist.keys.size == 1
 
     def test_reps_sorted_by_value(self):
         rng = np.random.default_rng(1)
@@ -153,7 +153,7 @@ class TestClassifyBin:
             pure, ambiguous = bin_table(hist, beta)
             pure_keys = {b.key for b in pure}
             assert pure_keys.isdisjoint(b.key for b in ambiguous)
-            for i in range(hist.used_bins):
+            for i in range(hist.keys.size):
                 expected = purity(tuple(hist.counts[i].tolist()), beta)
                 assert (int(hist.keys[i]) in pure_keys) == (expected == "pure")
 
@@ -173,7 +173,7 @@ class TestBinTable:
             data = random_dataset(rng)
             hist = fit_histogram(IDENT, data, FitnessConfig(num_bin=4))
             pure, ambiguous = bin_table(hist, float(rng.uniform(0.5, 1.0)))
-            assert len(pure) + len(ambiguous) == hist.used_bins
+            assert len(pure) + len(ambiguous) == hist.keys.size
             keys = sorted([b.key for b in pure] + [b.key for b in ambiguous])
             assert keys == sorted(hist.keys.tolist())
 
@@ -216,7 +216,7 @@ class TestGiniFitness:
         labels[:2] = [0, 1]
         data = one_col(vals, labels)
         hist = fit_histogram(IDENT, data, FitnessConfig(float_resolution=True))
-        assert hist.used_bins == 20
+        assert hist.keys.size == 20
         assert gini_fitness(hist, data.class_counts(), alpha=0.0) == pytest.approx(2.0)
 
     def test_perfect_split_maximizes_over_small_enumerations(self):

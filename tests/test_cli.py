@@ -324,6 +324,36 @@ class TestSplitCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {src}: not UTF-8 text") and "0xe9" in err
 
+    @staticmethod
+    def split_headers(tmp_path, header, label_col):
+        """The parts' header lines after ``split --label-col label_col`` of a
+        file with ``header``, whose first column holds the labels."""
+        src = tmp_path / "src.csv"
+        rows = [f"{'x' if i % 2 else 'y'},{i},{-i}" for i in range(8)]
+        src.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        rc = main(["split", "--data", str(src), "--label-col", label_col,
+                   "--out", str(tmp_path / "part")])
+        assert rc == 0
+        return [(tmp_path / f"part_{side}.csv").read_text(encoding="utf-8").splitlines()[0]
+                for side in ("train", "test")]
+
+    def test_label_by_index_keeps_its_header_name(self, tmp_path, capsys):
+        assert self.split_headers(tmp_path, "kind,a,b", "0") == ["a,b,kind"] * 2
+        part = load_csv(str(tmp_path / "part_train.csv"), "kind")
+        assert part.columns == ("a", "b") and part.classes == ("x", "y")
+
+    def test_label_by_name_keeps_its_header_name(self, tmp_path, capsys):
+        assert self.split_headers(tmp_path, "kind,a,b", "kind") == ["a,b,kind"] * 2
+
+    def test_label_by_index_next_to_a_column_named_class(self, tmp_path, capsys):
+        # writing the label as "class" would give the parts two "class" columns
+        assert self.split_headers(tmp_path, "label,class,b", "0") == ["class,b,label"] * 2
+        out = str(tmp_path / "again")
+        assert main(["split", "--data", str(tmp_path / "part_train.csv"),
+                     "--label-col", "label", "--out", out]) == 0
+        part = load_csv(f"{out}_train.csv", "label")
+        assert part.columns == ("class", "b") and part.classes == ("x", "y")
+
     def test_split_deterministic(self, tmp_path):
         data = random_dataset(np.random.default_rng(3), n=40, d=2)
         src = tmp_path / "all.csv"

@@ -2,14 +2,15 @@
 
 ``reference_load_csv`` is the loader as it was before the columnar path
 existed: csv rows parsed cell by cell, except that it now drops a leading
-UTF-8 byte order mark, as ``load_csv`` does.  For every input, ``load_csv`` must
-return bitwise-identical records, labels, classes and columns, or raise a
-DatasetError with the same text.
+UTF-8 byte order mark and keeps the label column's name, as ``load_csv``
+does.  For every input, ``load_csv`` must return bitwise-identical records,
+labels, classes and column names, or raise a DatasetError with the same text.
 """
 
 import csv
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def reference_load_csv(path, label_column=None):
     encoding = {name: k for k, name in enumerate(classes)}
     labels = np.array([encoding[s] for s in raw_labels], dtype=np.int64)
     columns = tuple(header[c] for c in attr_idx)
-    return LabeledDataset(records, labels, classes, columns)
+    return LabeledDataset(records, labels, classes, columns, header[label_idx])
 
 
 def outcome(loader, path, label_column):
@@ -75,7 +76,7 @@ def outcome(loader, path, label_column):
     except DatasetError as exc:
         return ("error", str(exc))
     return ("ok", data.records.shape, data.records.tobytes(), data.labels.tolist(),
-            data.classes, data.columns)
+            data.classes, data.columns, data.label_name)
 
 
 def write_text(path, text):
@@ -164,6 +165,88 @@ def test_hand_picked(name, text, label_column, columnar, tmp_path, columnar_spy)
     write_text(path, text)
     assert_same(path, label_column)
     assert any(columnar_spy) == columnar
+
+
+@pytest.mark.parametrize("name,text,label_column,columnar",
+                         HAND_PICKED, ids=[c[0] for c in HAND_PICKED])
+def test_hand_picked_in_small_scan_blocks(name, text, label_column, columnar, tmp_path,
+                                          columnar_spy, monkeypatch):
+    """Scanning the text a few characters at a time changes no outcome."""
+    monkeypatch.setattr(dataset, "SCAN_CHARS", 3)
+    path = str(tmp_path / "case.csv")
+    write_text(path, text)
+    assert_same(path, label_column)
+    assert any(columnar_spy) == columnar
+
+
+# (name, file text, whether the columnar path gives the result); each case
+# puts what the scan must see past the first block of SCAN_CHARS characters.
+SPLIT_ACROSS_BLOCKS = [
+    ("header longer than a block", "alpha,beta,gamma,class\n1,2,3,x\n4,5,6,y\n", True),
+    ("crlf endings", "a,class\r\n1.5,x\r\n-2,y\r\n3,zz\r\n", True),
+    ("cr-only endings", "a,class\r1.5,x\r-2,y\r3,zz\r", True),
+    ("quote in a later block", 'a,class\n1,x\n2,y\n3,x\n4,"y"\n', False),
+    ("form feed in a later block", "a,class\n1,x\n2,y\n3,x\n\x0c4,y\n", False),
+]
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("name,text,columnar", SPLIT_ACROSS_BLOCKS,
+                         ids=[c[0] for c in SPLIT_ACROSS_BLOCKS])
+def test_text_split_across_scan_blocks(name, text, columnar, chars, tmp_path,
+                                       columnar_spy, monkeypatch):
+    monkeypatch.setattr(dataset, "SCAN_CHARS", chars)
+    path = str(tmp_path / "case.csv")
+    write_text(path, text)
+    assert assert_same(path)[0] == "ok"
+    assert any(columnar_spy) == columnar
+
+
+@pytest.mark.parametrize("chars", [3, dataset.SCAN_CHARS])
+def test_bad_byte_in_a_later_block(chars, tmp_path, monkeypatch):
+    """A byte that is not UTF-8 past the decoder's first chunk of the file
+    fails with the same message as one in the first."""
+    monkeypatch.setattr(dataset, "SCAN_CHARS", chars)
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,class\n" + b"1.5,x\n2,y\n" * 2000 + b"3,caf\xe9\n")
+    with pytest.raises(DatasetError) as err:
+        load_csv(str(path))
+    assert str(err.value) == (f"{path}: not UTF-8 text: cannot decode byte 0xe9 "
+                              "(invalid continuation byte)")
+
+
+@pytest.mark.parametrize("suffix", [".csv.gz", ".csv.bz2", ".csv.xz"])
+def test_compressed_suffix_on_a_plain_file(suffix, tmp_path, columnar_spy):
+    """The name of a file does not change how it is read."""
+    text = "a,b,class\n1,2.5,x\n3,-4,y\n"
+    plain, named = str(tmp_path / "plain.csv"), str(tmp_path / f"plain{suffix}")
+    write_text(plain, text)
+    write_text(named, text)
+    assert outcome(load_csv, named, None) == outcome(load_csv, plain, None)
+    assert assert_same(named)[0] == "ok"
+    assert columnar_spy == [True, True, True]
+
+
+def test_parse_holds_neither_the_text_nor_its_lines(tmp_path):
+    """The traced peak of a columnar load is about its one table: it does
+    not grow with the file's text (here 2.2 times the table's bytes)."""
+    rng = np.random.default_rng(0)
+    n, d = 20_000, 8
+    lines = [",".join([f"x{j}" for j in range(d)] + ["class"])]
+    for row, label in zip(rng.normal(size=(n, d)).tolist(), rng.choice(["a", "b", "c"], n)):
+        lines.append(",".join(map(repr, row)) + "," + label)
+    path = str(tmp_path / "wide.csv")
+    write_text(path, "\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        data = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = data.records.nbytes + data.labels.nbytes
+    assert data.records.shape == (n, d) and os.path.getsize(path) > 2 * table
+    assert peak <= 1.5 * table + 2 ** 20
 
 
 def random_cell(rng):
