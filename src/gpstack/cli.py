@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .dataset import DatasetError, SplitSpec, load_csv, stratified_split, write_csv
 from .evaluation import EvalReport, evaluate, stack_usage_report
-from .model import ModelFormatError, dumps, load_model, loads, save_model
+from .model import ModelFormatError, dumps, load_model, loads
 from .programs import format_tree
 from .training import PRESETS, TrainerConfig, train
 
@@ -35,7 +35,6 @@ _OVERRIDE_FLAGS = {
     "float_resolution": "float_resolution",
     "beta": "beta",
     "alpha": "alpha",
-    "workers": "workers",
 }
 
 
@@ -100,37 +99,32 @@ def build_config(args) -> TrainerConfig:
 
 
 def _trial_model_path(base: str | None, trial: int, trials: int) -> str | None:
-    if base is None:
-        return None
-    if trials == 1:
+    if base is None or trials == 1:
         return base
-    stem, dot, suffix = base.rpartition(".")
-    if dot:
-        return f"{stem}_trial{trial}.{suffix}"
-    return f"{base}_trial{trial}"
+    stem, suffix = os.path.splitext(base)
+    return f"{stem}_trial{trial}{suffix}"
 
 
-def _run_trial(payload: tuple) -> dict:
-    """Train and score one trial; runs in the parent or a worker process.
-
-    The payload carries the parsed dataset, so no trial reads the CSV again.
-    """
-    data, cfg_params, train_frac, trial_seed = payload
-    cfg = TrainerConfig(**{**cfg_params, "seed": trial_seed})
-    train_part, test_part = stratified_split(data, SplitSpec(train_frac, trial_seed))
+def _run_trial(data, cfg: TrainerConfig, train_frac: float, path: str | None) -> dict:
+    """Train and score one trial on the parsed dataset, and save its model
+    to ``path`` unless that is None."""
+    train_part, test_part = stratified_split(data, SplitSpec(train_frac, cfg.seed))
     stack = train(train_part, cfg)
-    train_rep = evaluate(stack, train_part)
-    test_rep = evaluate(stack, test_part)
-    return {
-        "seed": trial_seed,
+    result = {
+        "seed": cfg.seed,
         "depth": stack.depth,
         "total_nodes": stack.total_nodes,
         "stalled": stack.log.stalled,
         "train_seconds": stack.log.seconds,
-        "model_text": dumps(stack),
-        "train": train_rep.to_dict(),
-        "test": test_rep.to_dict(),
+        "train": evaluate(stack, train_part).to_dict(),
+        "test": evaluate(stack, test_part).to_dict(),
     }
+    if path:
+        text = dumps(stack)
+        loads(text)  # no file is written that would not load back
+        _write_text(text, path)
+        result["model_path"] = path
+    return result
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -150,25 +144,10 @@ def cmd_train(args) -> int:
     cfg = build_config(args)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.parallel < 1:
-        raise ValueError("--parallel must be at least 1")
     data = load_csv(args.data, _parse_label_col(args.label_col))
-    cfg_params = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(TrainerConfig)}
-    payloads = [(data, cfg_params, args.train_frac, args.seed + t)
-                for t in range(args.trials)]
-    if args.parallel > 1 and args.trials > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_run_trial, payloads))
-    else:
-        results = [_run_trial(p) for p in payloads]
-
-    for t, res in enumerate(results):
-        path = _trial_model_path(args.model, t, args.trials)
-        if path:
-            stack = loads(res["model_text"])
-            save_model(stack, path)
-            res["model_path"] = path
-        del res["model_text"]
+    results = [_run_trial(data, dataclasses.replace(cfg, seed=args.seed + t), args.train_frac,
+                          _trial_model_path(args.model, t, args.trials))
+               for t in range(args.trials)]
 
     print(f"{'trial':>5} {'seed':>6} {'depth':>5} {'nodes':>6} "
           f"{'train_acc':>9} {'test_acc':>9} {'strict':>7} {'stalled':>7}")
@@ -202,7 +181,7 @@ def cmd_train(args) -> int:
             "data": args.data,
             "preset": args.preset,
             "train_fraction": args.train_frac,
-            "config": cfg_params,
+            "config": dataclasses.asdict(cfg),
             "trials": results,
             "aggregate": agg,
         }
@@ -283,17 +262,20 @@ def cmd_split(args) -> int:
     train_part, test_part = stratified_split(data, SplitSpec(args.train_frac, args.seed))
     train_path = f"{args.out}_train.csv"
     test_path = f"{args.out}_test.csv"
-    # the parts keep the source's header name for the label column
-    write_csv(train_part, train_path, data.label_name)
-    write_csv(test_part, test_path, data.label_name)
+    write_csv(train_part, train_path)
+    write_csv(test_part, test_path)
     print(f"train {train_part.n} records -> {train_path}")
     print(f"test  {test_part.n} records -> {test_path}")
     return 0
 
 
-def _write_json(payload: dict, path: str) -> None:
+def _write_text(text: str, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
+
+
+def _write_json(payload: dict, path: str) -> None:
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--train-frac", type=float, default=0.7)
     p_train.add_argument("--model", default=None, help="where to save the trained model")
     p_train.add_argument("--out", default=None, help="where to save the JSON report")
-    p_train.add_argument("--parallel", type=int, default=1,
-                         help="worker processes for independent trials")
+    p_train.add_argument("--parallel", type=int, choices=(1,), default=1,
+                         help="accepted and ignored: trials run one after another")
     p_train.add_argument("--boost-epochs", type=int, default=None, dest="boost_epochs")
     p_train.add_argument("--gp-epochs", type=int, default=None, dest="gp_epochs")
     p_train.add_argument("--pop-size", type=int, default=None, dest="pop_size")
@@ -324,11 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None, dest="float_resolution")
     p_train.add_argument("--beta", type=float, default=None)
     p_train.add_argument("--alpha", type=float, default=None)
-    p_train.add_argument("--workers", type=int, default=None,
-                         help="threads for scoring one population program by program "
-                              "(float32 mode, and fixed mode with num_bin x classes >= 8); "
-                              "other fixed-mode populations are scored as one batch in "
-                              "one thread")
+    p_train.add_argument("--workers", type=int, choices=(1,), default=1,
+                         help="accepted and ignored: training runs in one thread")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a saved model on a CSV")

@@ -284,11 +284,11 @@ def _resolve_label_column(header: list[str], label_column, path: str) -> int:
     return hits[0]
 
 
-def write_csv(data: LabeledDataset, path: str, label_column: str = "class") -> None:
+def write_csv(data: LabeledDataset, path: str) -> None:
     """Write the dataset back out in the format :func:`load_csv` accepts.
 
     The header holds the column names (``x0``, ``x1``, ... when the dataset
-    has none) and ``label_column``; each row holds a record's values and its
+    has none) and ``label_name``; each row holds a record's values and its
     class name last.  A value is written as the ``repr`` of the Python number
     ``tolist`` gives for it; for a float that is the shortest text that reads
     back to the same float, so finite records reload to the same bits.
@@ -304,7 +304,7 @@ def write_csv(data: LabeledDataset, path: str, label_column: str = "class") -> N
     names = np.array([_csv_field(c) for c in data.classes], dtype=object)
     step = max(1, WRITE_CELLS // (data.d + 1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(columns) + [label_column])
+        csv.writer(fh).writerow(list(columns) + [data.label_name])
         for start in range(0, data.n, step):
             block = data.records[start:start + step]
             cells = []

@@ -3,8 +3,7 @@
 The format is line oriented and fully deterministic: every float is written
 with ``repr`` (shortest exact round-trip), so saving, loading, and saving
 again reproduces the file byte for byte.  Wall-clock timings are therefore
-deliberately not stored; a loaded stack reports zero seconds.  The
-``workers`` knob is an execution detail, not model state, and resets to 1.
+deliberately not stored; a loaded stack reports zero seconds.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def loads(text: str) -> EnsembleStack:
         config = TrainerConfig(max_boost_epoch=max_boost, max_gp_epoch=max_gp,
                                new_pop_size=pop_size, gap=gap, num_bin=num_bin,
                                float_resolution=(mode == "float32"), beta=beta,
-                               alpha=alpha, seed=seed, workers=1)
+                               alpha=alpha, seed=seed)
     except ValueError as exc:
         cur.fail(f"invalid configuration: {exc}")
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,7 +51,6 @@ class TrainerConfig:
     beta: float = 0.99
     alpha: float = 0.0
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.max_boost_epoch < 0:
@@ -63,8 +61,6 @@ class TrainerConfig:
             raise ValueError("new_pop_size must be at least 1")
         if not 1 <= self.gap <= self.new_pop_size:
             raise ValueError("gap must lie between 1 and new_pop_size")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.fitness_config()  # validates beta/alpha/num_bin
@@ -192,28 +188,22 @@ def _score_one(tree: ProgramTree, data: LabeledDataset, fitcfg: FitnessConfig,
     return ScoredTree(tree, float(fitness), build)
 
 
-def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig,
-                     workers: int = 1) -> list[ScoredTree]:
+def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig) -> list[ScoredTree]:
     """Fitness of every program, index-aligned with ``pop``.
 
     In fixed mode with fewer than 8 cells per bin table (``num_bin`` x
-    classes) the population is scored in batches, in this thread, by
-    :func:`gini_scores` on counts keyed by :func:`fixed_keys`; numpy sums
-    fewer than 8 terms in order, so every fitness equals the per-program
-    :func:`gini_fitness` bit for bit.  Otherwise each program is scored on
-    its own, split over ``workers`` threads: in float32 mode by
-    :func:`gini_scores` on :func:`float32_counts`, which equal the counts of
-    :func:`fit_histogram`, so no histogram is built; in fixed mode by
-    :func:`fit_histogram` and :func:`gini_fitness`.  Results are identical
-    for any worker count.
+    classes) the population is scored in batches by :func:`gini_scores` on
+    counts keyed by :func:`fixed_keys`; numpy sums fewer than 8 terms in
+    order, so every fitness equals the per-program :func:`gini_fitness` bit
+    for bit.  Otherwise each program is scored on its own: in float32 mode
+    by :func:`gini_scores` on :func:`float32_counts`, which equal the counts
+    of :func:`fit_histogram`, so no histogram is built; in fixed mode by
+    :func:`fit_histogram` and :func:`gini_fitness`.
     """
     counts = data.class_counts()
     if not fitcfg.float_resolution and fitcfg.num_bin * data.num_classes < 8:
         return _score_batched(pop, data, fitcfg, counts)
-    if workers <= 1 or len(pop) < 2:
-        return [_score_one(t, data, fitcfg, counts) for t in pop]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: _score_one(t, data, fitcfg, counts), pop))
+    return [_score_one(t, data, fitcfg, counts) for t in pop]
 
 
 def _score_batched(pop, data: LabeledDataset, fitcfg: FitnessConfig,
@@ -261,7 +251,7 @@ def evolve_generation(pop, data: LabeledDataset, cfg: TrainerConfig,
     """
     scores = {} if scores is None else scores
     new = list({t.code: t for t in pop if t.code not in scores}.values())
-    for s in score_population(new, data, cfg.fitness_config(), cfg.workers):
+    for s in score_population(new, data, cfg.fitness_config()):
         scores[s.tree.code] = s
     ranked = _rank([scores[t.code] for t in pop])
     survivors = tuple(s.tree for s in ranked[:cfg.gap])

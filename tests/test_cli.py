@@ -1,5 +1,6 @@
 """Command line flows, exercised through main() with temp files."""
 
+import dataclasses
 import json
 import re
 
@@ -84,14 +85,47 @@ class TestTrainCommand:
         assert m1.read_bytes() == m2.read_bytes()
         assert strip_seconds(read_json(str(r1))) == strip_seconds(read_json(str(r2)))
 
-    def test_parallel_trials_match_serial(self, noisy_csv, tmp_path):
-        base = ["train", "--data", noisy_csv, "--trials", "3", "--seed", "1",
+    @pytest.mark.parametrize("model,trials,written", [
+        ("m.model", 2, ["m_trial0.model", "m_trial1.model"]),
+        ("runs.v1/stack", 2, ["runs.v1/stack_trial0", "runs.v1/stack_trial1"]),
+        ("stack", 2, ["stack_trial0", "stack_trial1"]),
+        ("runs.v1/stack", 1, ["runs.v1/stack"]),
+    ])
+    def test_trial_model_paths(self, model, trials, written, toy_csv, tmp_path):
+        work = tmp_path / "work"
+        (work / "runs.v1").mkdir(parents=True)
+        assert main(["train", "--data", toy_csv, "--trials", str(trials),
+                     "--boost-epochs", "3", "--model", str(work / model)]) == 0
+        files = sorted(p.relative_to(work).as_posix() for p in work.rglob("*") if p.is_file())
+        assert files == written
+
+    def test_ignored_flags_of_the_benchmark_change_nothing(self, noisy_csv, tmp_path):
+        # perfbench/run.py passes "--parallel 1 --workers 1"
+        base = ["train", "--data", noisy_csv, "--trials", "2", "--seed", "1",
                 "--beta", "0.9", "--boost-epochs", "8", "--gp-epochs", "3",
                 "--pop-size", "8", "--gap", "3"]
-        r1, r2 = tmp_path / "serial.json", tmp_path / "par.json"
-        assert main(base + ["--out", str(r1)]) == 0
-        assert main(base + ["--out", str(r2), "--parallel", "3"]) == 0
-        assert strip_seconds(read_json(str(r1))) == strip_seconds(read_json(str(r2)))
+        outputs = []
+        for name, extra in (("plain", []), ("flags", ["--parallel", "1", "--workers", "1"])):
+            model, out = tmp_path / f"{name}.model", tmp_path / f"{name}.json"
+            assert main(base + extra + ["--model", str(model), "--out", str(out)]) == 0
+            models = [(tmp_path / f"{name}_trial{t}.model").read_bytes() for t in range(2)]
+            outputs.append((models, strip_seconds(read_json(str(out)))))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag,value", [("--workers", "2"), ("--workers", "0"),
+                                            ("--parallel", "2")])
+    def test_removed_concurrency_values_are_usage_errors(self, flag, value, toy_csv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", toy_csv, flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}: invalid choice" in capsys.readouterr().err
+
+    def test_workers_config_key_rejected(self, toy_csv, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("workers = 2\n", encoding="utf-8")
+        rc = main(["train", "--data", toy_csv, "--config", str(cfg_file)])
+        assert rc == 1
+        assert "unknown configuration key 'workers'" in capsys.readouterr().err
 
     def test_preset_selects_parameters(self, toy_csv, tmp_path):
         model = tmp_path / "m.model"
@@ -130,9 +164,10 @@ class TestTrainCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_label_col_flag(self, tmp_path):
-        data = separable_dataset(n_per_class=10, seed=2)
+        data = dataclasses.replace(separable_dataset(n_per_class=10, seed=2),
+                                   label_name="verdict")
         path = tmp_path / "mid.csv"
-        write_csv(data, str(path), label_column="verdict")
+        write_csv(data, str(path))
         rc = main(["train", "--data", str(path), "--label-col", "verdict",
                    "--boost-epochs", "5"])
         assert rc == 0

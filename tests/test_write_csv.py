@@ -9,6 +9,7 @@ row labels and column names, and reject a file holding a non-finite one.
 """
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from gpstack import dataset
 from gpstack.dataset import DatasetError, LabeledDataset, load_csv, write_csv
 
 
-def reference_write_csv(data, path, label_column="class"):
+def reference_write_csv(data, path):
     columns = data.columns or tuple(f"x{j}" for j in range(data.d))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(columns) + [label_column])
+        writer.writerow(list(columns) + [data.label_name])
         for i in range(data.n):
             row = [repr(v) for v in data.records[i].tolist()]
             row.append(data.classes[data.labels[i]])
@@ -76,10 +77,10 @@ def hand_cases():
 CASES = list(hand_cases()) + [(f"seed {s}", random_case(s)) for s in range(40)]
 
 
-def write_both(data, tmp_path, label_column="class"):
+def write_both(data, tmp_path):
     ours, theirs = tmp_path / "ours.csv", tmp_path / "reference.csv"
-    write_csv(data, str(ours), label_column)
-    reference_write_csv(data, str(theirs), label_column)
+    write_csv(data, str(ours))
+    reference_write_csv(data, str(theirs))
     return ours, theirs
 
 
@@ -91,8 +92,20 @@ def test_same_bytes_as_row_writer(name, data, tmp_path):
 
 @pytest.mark.parametrize("label_column", ["class", "the,label", 'a "b"', ""])
 def test_same_bytes_for_any_label_header(label_column, tmp_path):
-    ours, theirs = write_both(CASES[-1][1], tmp_path, label_column)
+    data = dataclasses.replace(CASES[-1][1], label_name=label_column)
+    ours, theirs = write_both(data, tmp_path)
     assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_reload_keeps_the_label_column_name(tmp_path):
+    src, again = tmp_path / "v.csv", tmp_path / "v2.csv"
+    src.write_text("a,verdict\n1.5,yes\n-2.0,no\n", encoding="utf-8")
+    write_csv(load_csv(str(src)), str(again))
+    assert again.read_bytes().startswith(b"a,verdict\r\n")
+    back = load_csv(str(again), "verdict")
+    assert back.columns == ("a",) and back.label_name == "verdict"
+    assert back.records.tolist() == [[1.5], [-2.0]]
+    assert [back.classes[k] for k in back.labels] == ["yes", "no"]
 
 
 @pytest.mark.parametrize("name,data", CASES, ids=[name for name, _ in CASES])
