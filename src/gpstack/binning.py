@@ -14,9 +14,11 @@ Histograms store occupied bins only, in ascending order of representative
 value.  Empty bins are implicit.
 
 Every value-to-bin decision lives here: :func:`float32_values` is the one
--0.0 normalisation, :func:`fixed_keys` the one fixed-mode key computation,
-:func:`float32_counts` the float32 bin counts that scoring reads, and
-:class:`LevelLookup` the one per-level answer rule of a deployed stack.
+-0.0 normalisation, :func:`float32_bins` the one float32 dedupe that
+histograms and lookups share, :func:`fixed_keys` the one fixed-mode key
+computation, :func:`float32_counts` the float32 bin counts that scoring
+reads, and :class:`LevelLookup` the one per-level answer rule of a deployed
+stack.
 """
 
 from __future__ import annotations
@@ -122,6 +124,14 @@ def float32_values(values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=np.float64).astype(np.float32)
     v[v == 0] = np.float32(0.0)
     return v
+
+
+def float32_bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct :func:`float32_values` of ``values`` in ascending order,
+    and each output's position among them: the float32 bins of
+    :func:`fit_histogram` and the distinct outputs :class:`LevelLookup`
+    answers."""
+    return np.unique(float32_values(values), return_inverse=True)
 
 
 def float32_counts(values: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -230,7 +240,7 @@ def fit_histogram(tree: ProgramTree, data: LabeledDataset, cfg: FitnessConfig) -
     lo, hi = float(y.min()), float(y.max())
     if cfg.float_resolution:
         geom = IntervalGeometry("float32", lo, hi, FLOAT32_CAPACITY)
-        vals, inverse = np.unique(float32_values(y), return_inverse=True)
+        vals, inverse = float32_bins(y)
         reps = vals.astype(np.float64)
         keys = vals.view(np.uint32).astype(np.int64)
     else:
@@ -373,17 +383,21 @@ class LevelLookup:
         mode every other output passes down.  In float32 mode an output in
         an ambiguous bin passes down, and an output in no stored bin (never
         seen at fit time) is answered by the nearest pure bin, ties to the
-        lower representative.  Returns (answered mask, label per output,
-        valid where answered).
+        lower representative; the rule runs once per distinct float32
+        output (:func:`float32_bins`) and its answers are spread back to
+        every output.  Returns (answered mask, label per output, valid where
+        answered).
         """
         if not self.pure.size:
             return np.zeros(y.shape, dtype=bool), np.zeros(y.shape, dtype=np.int64)
         if self.geometry.mode == "fixed":
             answered, pos = match_positions(self.pure, locate_bins(self.geometry, y))
         else:
-            queries = float32_values(y).astype(np.float64)
+            vals, inverse = float32_bins(y)
+            queries = vals.astype(np.float64)
             answered, pos = match_positions(self.pure, queries)
             unseen = ~answered & ~match_positions(self.ambiguous, queries)[0]
             pos[unseen] = nearest_positions(self.pure, queries[unseen])
             answered |= unseen
+            return answered[inverse], self.labels[pos][inverse]
         return answered, self.labels[pos]

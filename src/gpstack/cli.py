@@ -133,14 +133,27 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
-def _check_seed(args) -> None:
-    # before the CSV is parsed, and in the flag's own name
+def _check_split_flags(args) -> None:
+    # before the CSV is parsed, and in the flags' own names
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if not 0.0 < args.train_frac < 1.0:
+        raise ValueError(f"--train-frac must lie strictly between 0 and 1, "
+                         f"got {args.train_frac}")
+
+
+def _check_out_dirs(*paths: str | None) -> None:
+    """Fail before any parse or training when a path the command will write
+    lies in a directory that does not exist."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"cannot write {path}: no directory {parent}")
 
 
 def cmd_train(args) -> int:
-    _check_seed(args)
+    _check_split_flags(args)
+    _check_out_dirs(args.model, args.out)
     cfg = build_config(args)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
@@ -204,7 +217,11 @@ def _print_eval_report(report: EvalReport) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out_dirs(args.out)
     stack = load_model(args.model)
+    if args.stack_depth is not None and not 1 <= args.stack_depth <= stack.depth:
+        raise ValueError(f"--stack-depth must lie in [1, {stack.depth}], "
+                         f"got {args.stack_depth}")
     data = load_csv(args.data, _parse_label_col(args.label_col))
     report = evaluate(stack, data, args.stack_depth)
     _print_eval_report(report)
@@ -218,6 +235,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    _check_out_dirs(args.out)
     stack = load_model(args.model)
     cfg = stack.config
     print(f"classes      {', '.join(stack.classes)}")
@@ -257,11 +275,12 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_split(args) -> int:
-    _check_seed(args)
-    data = load_csv(args.data, _parse_label_col(args.label_col))
-    train_part, test_part = stratified_split(data, SplitSpec(args.train_frac, args.seed))
+    _check_split_flags(args)
     train_path = f"{args.out}_train.csv"
     test_path = f"{args.out}_test.csv"
+    _check_out_dirs(train_path, test_path)
+    data = load_csv(args.data, _parse_label_col(args.label_col))
+    train_part, test_part = stratified_split(data, SplitSpec(args.train_frac, args.seed))
     write_csv(train_part, train_path)
     write_csv(test_part, test_path)
     print(f"train {train_part.n} records -> {train_path}")

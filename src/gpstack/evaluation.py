@@ -7,11 +7,15 @@ level's one compiled lookup (``ChampionEntry.lookup``, a
 record lands in a pure bin and otherwise pass it down.  Float32-resolution
 levels answer on an exact pure-bin hit, pass the record down on an exact
 ambiguous-bin hit, and otherwise (an output never seen at training time)
-answer with the nearest pure bin by representative value.  A record no
-level answers is predicted as the training majority class; that fallback is
-counted separately from the stack's own answers.  :func:`predict_record`
-applies the same rule with its own scalar loops, as an independent
-reference.
+answer with the nearest pure bin by representative value; they apply that
+rule once per distinct float32 output and spread the answers back to the
+records.  A record no level answers is predicted as the training majority
+class; that fallback is counted separately from the stack's own answers.
+:func:`predict_record` applies the same rule with its own scalar loops, as
+an independent reference.
+
+:func:`evaluate` runs each level's program only on the records still
+unanswered; the first level reads ``data.records`` itself, without a copy.
 """
 
 from __future__ import annotations
@@ -156,7 +160,9 @@ def evaluate(stack: EnsembleStack, data: LabeledDataset,
         if remaining.size == 0:
             per_level_counts.append(0)
             continue
-        hit, labels = entry.lookup.answer(eval_batch(entry.tree, data.records[remaining]))
+        # while no record is answered, the program reads the records in place
+        records = data.records if remaining.size == n else data.records[remaining]
+        hit, labels = entry.lookup.answer(eval_batch(entry.tree, records))
         answered = remaining[hit]
         pred[answered] = labels[hit]
         level_of[answered] = level

@@ -188,6 +188,82 @@ class TestNegativeSeed:
         assert err == ["error: --seed must be non-negative, got -1"]
 
 
+def never(*args, **kwargs):
+    raise AssertionError("called before the flags were checked")
+
+
+class TestFlagsCheckedBeforeTheParse:
+    @pytest.mark.parametrize("frac", ["1.5", "0", "-0.2", "1", "nan"])
+    @pytest.mark.parametrize("command", ["train", "split"])
+    def test_train_frac(self, command, frac, toy_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", never)
+        rc = main([command, "--data", toy_csv, "--train-frac", frac,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --train-frac must lie")
+
+    @pytest.mark.parametrize("command", ["train", "split"])
+    def test_train_frac_before_a_missing_file(self, command, tmp_path, capsys):
+        rc = main([command, "--data", str(tmp_path / "absent.csv"), "--train-frac", "1.5",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--train-frac" in capsys.readouterr().err
+
+    def test_stack_depth(self, toy_csv, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "m.model"
+        assert main(["train", "--data", toy_csv, "--model", str(model)]) == 0
+        depth = load_model(str(model)).depth
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "load_csv", never)
+        for bad in (0, -1, depth + 1):
+            rc = main(["evaluate", "--data", toy_csv, "--model", str(model),
+                       "--stack-depth", str(bad)])
+            assert rc == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: --stack-depth must lie in [1, {depth}], got {bad}"]
+
+
+class TestMissingOutputDirectory:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{csv}", "--model", "{missing}/m.model"],
+        ["train", "--data", "{csv}", "--trials", "2", "--model", "{missing}/m.model"],
+        ["train", "--data", "{csv}", "--out", "{missing}/report.json"],
+        ["split", "--data", "{csv}", "--out", "{missing}/part"],
+        ["evaluate", "--data", "{csv}", "--model", "{csv}", "--out", "{missing}/eval.json"],
+        ["inspect", "--model", "{csv}", "--out", "{missing}/inspect.json"],
+    ])
+    def test_fails_before_any_parse_or_training(self, argv, toy_csv, tmp_path, capsys,
+                                                monkeypatch):
+        for name in ("load_csv", "load_model", "train"):
+            monkeypatch.setattr(cli, name, never)
+        missing = tmp_path / "no" / "such"
+        argv = [a.format(csv=toy_csv, missing=missing) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {missing}/")
+        assert err[0].endswith(f"no directory {missing}")
+        assert not (tmp_path / "no").exists()
+
+    def test_a_file_is_no_directory(self, toy_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", never)
+        rc = main(["train", "--data", toy_csv, "--model", f"{toy_csv}/m.model"])
+        assert rc == 1
+        assert f"no directory {toy_csv}" in capsys.readouterr().err
+
+    def test_bare_file_names_write_to_the_working_directory(self, toy_csv, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--data", toy_csv, "--model", "m.model",
+                     "--out", "r.json"]) == 0
+        assert main(["split", "--data", toy_csv, "--out", "part"]) == 0
+        assert main(["evaluate", "--data", toy_csv, "--model", "m.model",
+                     "--out", "e.json"]) == 0
+        assert main(["inspect", "--model", "m.model", "--out", "i.json"]) == 0
+        assert {p.name for p in tmp_path.iterdir()} >= {
+            "m.model", "r.json", "part_train.csv", "part_test.csv", "e.json", "i.json"}
+
+
 class TestParseOnce:
     def test_train_parses_its_csv_once(self, noisy_csv, monkeypatch):
         calls = []

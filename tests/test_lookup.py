@@ -16,9 +16,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gpstack.binning import (FitnessConfig, IntervalGeometry, bin_table, fit_histogram,
-                             fixed_keys, float32_values, key_reps, locate_bins)
-from gpstack.dataset import LabeledDataset
+import gpstack.evaluation as evaluation
+from gpstack.binning import (AmbiguousBin, FitnessConfig, IntervalGeometry, LevelLookup,
+                             PureBin, bin_table, fit_histogram, fixed_keys, float32_values,
+                             key_reps, locate_bins, nearest_pure_bin)
+from gpstack.dataset import LabeledDataset, load_csv, write_csv
 from gpstack.evaluation import evaluate, predict_record
 from gpstack.model import dumps, loads
 from gpstack.programs import eval_batch, grow_clone, init_stump, mutate_params, parse_tree
@@ -229,3 +231,153 @@ def test_lookup_is_compiled_once_and_not_model_state():
     assert entry.lookup is entry.lookup
     assert "lookup" not in {f.name for f in dataclasses.fields(ChampionEntry)}
     assert loads(dumps(stack)).entries[0] == entry
+
+
+# float32 levels answer once per distinct output; the references below apply
+# the rule output by output, as predict_record does
+
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+def float32_level(pure, ambiguous=()):
+    """Float32 lookup of a level with ``pure`` (rep, label) pairs and
+    ``ambiguous`` reps, each given as values float32 holds exactly."""
+    def key(rep):
+        return int(np.float32(rep).view(np.uint32))
+    pure_bins = tuple(PureBin(key(r), float(r), label, 1, 1) for r, label in sorted(pure))
+    ambiguous_bins = tuple(AmbiguousBin(key(r), float(r)) for r in sorted(ambiguous))
+    return pure_bins, ambiguous_bins, LevelLookup.compile(
+        IntervalGeometry("float32", -1.0, 1.0, 2 ** 32), pure_bins, ambiguous_bins)
+
+
+def scalar_answer(pure_bins, ambiguous_bins, y):
+    """Answered mask and labels (-1 where passed down), one output at a time."""
+    answered, labels = [], []
+    for out in y:
+        v = float(float32_values(np.array([out]))[0])
+        hit = next((b for b in pure_bins if b.rep == v), None)
+        if hit is None and not any(b.rep == v for b in ambiguous_bins):
+            hit = nearest_pure_bin(pure_bins, v)
+        answered.append(hit is not None)
+        labels.append(-1 if hit is None else hit.label)
+    return np.array(answered, dtype=bool), np.array(labels, dtype=np.int64)
+
+
+def assert_answers_like_scalar(level, y):
+    pure_bins, ambiguous_bins, lookup = level
+    y = np.asarray(y, dtype=np.float64)
+    answered, labels = lookup.answer(y)
+    want_answered, want_labels = scalar_answer(pure_bins, ambiguous_bins, y)
+    assert answered.shape == labels.shape == y.shape
+    assert answered.tolist() == want_answered.tolist()
+    assert labels[answered].tolist() == want_labels[want_answered].tolist()
+    return np.where(answered, labels, -1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float32_answers_repeated_outputs(seed):
+    rng = np.random.default_rng(seed)
+    reps = np.unique(np.round(rng.normal(size=12), 1).astype(np.float32)).astype(float)
+    kinds = rng.integers(0, 3, size=reps.size)  # 0 pure, 1 ambiguous, 2 never seen
+    level = float32_level([(r, int(rng.integers(0, 3))) for r in reps[kinds == 0]],
+                          reps[kinds == 1])
+    pool = np.concatenate([reps, rng.normal(size=4)])
+    y = rng.choice(pool, size=3000)
+    out = assert_answers_like_scalar(level, y)
+    # repeated outputs share their answer
+    for v in np.unique(y):
+        assert np.unique(out[y == v]).size == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float32_answers_distinct_outputs(seed):
+    rng = np.random.default_rng([seed, 1])
+    reps = np.unique(rng.normal(size=40).astype(np.float32)).astype(float)
+    pure = [(r, int(rng.integers(0, 2))) for r in reps[::2]]
+    level = float32_level(pure, reps[1::4])
+    y = np.concatenate([rng.normal(scale=2.0, size=400), reps])
+    assert np.unique(float32_values(y)).size == y.size
+    assert_answers_like_scalar(level, rng.permutation(y))
+
+
+def test_float32_answers_no_outputs():
+    _, _, lookup = float32_level([(0.5, 1)], [1.5])
+    answered, labels = lookup.answer(np.array([], dtype=np.float64))
+    assert answered.shape == labels.shape == (0,)
+    assert answered.dtype == bool
+
+
+def test_float32_answers_signed_zero_extremes_and_subnormals():
+    level = float32_level([(0.0, 1), (-np.inf, 0), (F32_TINY, 2), (3 * F32_TINY, 0),
+                           (1.0, 1)], [np.inf, 2 * F32_TINY])
+    y = [-0.0, 0.0, 5e-324, -5e-324, -1e-50,    # all the +0.0 bin
+         1e39, np.inf, HUGE,                    # +inf: ambiguous
+         -1e39, -np.inf, -HUGE,                 # -inf: pure
+         F32_TINY, 2 * F32_TINY, 3 * F32_TINY, 4 * F32_TINY, -F32_TINY,
+         1e38, -1e38, 3e38]
+    out = assert_answers_like_scalar(level, y)
+    assert out.tolist() == [1, 1, 1, 1, 1,
+                            -1, -1, -1,
+                            0, 0, 0,
+                            2, -1, 0, 0, 1,
+                            1, 1, 1]  # -inf is farther from -1e38 than 0.0 is
+
+
+def test_float32_halfway_outputs_go_to_the_lower_rep():
+    level = float32_level([(-2.0, 0), (-1.0, 1), (1.0, 2), (2.0, 3)])
+    out = assert_answers_like_scalar(level, [-1.5, 1.5, 0.0, -1.5, 1.5])
+    assert out.tolist() == [0, 2, 1, 0, 2]
+
+
+def test_float32_ambiguous_bins_only_between_pure_ones():
+    level = float32_level([(0.0, 1), (3.0, 0)], [1.0, 2.0])
+    y = [1.0, 2.0, 1.4, 1.5, 1.6, 2.5, -7.0, 9.0, 1.0, 2.0]
+    out = assert_answers_like_scalar(level, y)
+    assert out.tolist() == [-1, -1, 1, 1, 0, 0, 1, 0, -1, -1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_histogram_float32_bins_match_a_scalar_dedupe(seed):
+    rng = np.random.default_rng([seed, 2])
+    data = extreme_dataset(rng, 60)
+    for text in SPECIAL + ["(add (attr 0) (const 0.25))"]:
+        tree = parse_tree(text)
+        hist = fit_histogram(tree, data, FitnessConfig(float_resolution=True))
+        values = [float(float32_values(np.array([v]))[0])
+                  for v in eval_batch(tree, data.records)]
+        distinct = sorted(set(values))
+        assert hist.reps.tolist() == distinct
+        assert hist.keys.tolist() == [int(np.float32(v).view(np.uint32)) for v in distinct]
+        assert hist.record_inverse.tolist() == [distinct.index(v) for v in values]
+        assert hist.record_inverse.dtype == np.int32
+
+
+def test_evaluate_reads_a_csv_view_like_a_contiguous_copy(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    data = extreme_dataset(rng, 80)
+    stack = random_stack(rng, data, True, 2)
+    assert stack.depth >= 2
+    write_csv(data, str(tmp_path / "d.csv"))
+    view = load_csv(str(tmp_path / "d.csv"))
+    assert not view.records.flags.c_contiguous and not view.records.flags.writeable
+    copy = dataclasses.replace(view, records=np.ascontiguousarray(view.records))
+    assert copy.records.flags.c_contiguous
+
+    seen = []
+    real = evaluation.eval_batch
+
+    def spy(tree, records):
+        seen.append(records)
+        return real(tree, records)
+
+    monkeypatch.setattr(evaluation, "eval_batch", spy)
+    reports = []
+    for d in (view, copy):
+        seen.clear()
+        report = evaluate(stack, d).to_dict()
+        assert seen[0] is d.records  # level 1 reads the records in place
+        assert all(r.shape[0] < d.n for r in seen[1:])
+        reports.append({k: v for k, v in report.items() if k != "seconds"})
+    assert reports[0] == reports[1]
+    assert reports[0] == {k: v for k, v in evaluate(stack, data).to_dict().items()
+                          if k != "seconds"}
