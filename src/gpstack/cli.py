@@ -94,7 +94,8 @@ def build_config(args) -> TrainerConfig:
         value = getattr(args, flag, None)
         if value is not None:
             params[field] = value
-    params["seed"] = args.seed
+    if args.seed is not None:
+        params["seed"] = args.seed
     return TrainerConfig(**params)
 
 
@@ -135,7 +136,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def _check_split_flags(args) -> None:
     # before the CSV is parsed, and in the flags' own names
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if not 0.0 < args.train_frac < 1.0:
         raise ValueError(f"--train-frac must lie strictly between 0 and 1, "
@@ -158,7 +159,7 @@ def cmd_train(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     data = load_csv(args.data, _parse_label_col(args.label_col))
-    results = [_run_trial(data, dataclasses.replace(cfg, seed=args.seed + t), args.train_frac,
+    results = [_run_trial(data, dataclasses.replace(cfg, seed=cfg.seed + t), args.train_frac,
                           _trial_model_path(args.model, t, args.trials))
                for t in range(args.trials)]
 
@@ -308,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="label column name or index (default: last column)")
     p_train.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p_train.add_argument("--config", default=None, help="key=value override file")
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int, default=None,
+                         help="first trial's seed (default: the config file's seed, else 0)")
     p_train.add_argument("--trials", type=int, default=1,
                          help="independent runs; trial t uses seed+t")
     p_train.add_argument("--train-frac", type=float, default=0.7)

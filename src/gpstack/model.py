@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .binning import AmbiguousBin, IntervalGeometry, PureBin, key_reps, locate_bins
+from .binning import (FLOAT32_CAPACITY, AmbiguousBin, IntervalGeometry, PureBin, key_reps,
+                      locate_bins)
 from .programs import TreeFormatError, format_tree, parse_tree
 from .training import ChampionEntry, EnsembleStack, TrainerConfig, TrainingLog
 
@@ -116,7 +117,9 @@ def loads(text: str) -> EnsembleStack:
     ``[0, num_bin)`` and its rep must be exactly the one its key and the
     entry's geometry give; a float32-mode bin's key must be the bits of its
     rep, and its rep a float32 value.  An entry's ``beta`` must lie in
-    (0, 1] and its ``fitness`` must be finite.
+    (0, 1] and its ``fitness`` must be finite.  Its geometry's ``lo`` and
+    ``hi`` must be finite with ``lo <= hi``, and a float32 geometry's
+    ``num_bin`` must be ``FLOAT32_CAPACITY``.
 
     The stack must also be one training can write.  Every entry's ``beta``
     is the header's.  Entries' ``fitness`` rises strictly from 0 (each
@@ -245,6 +248,13 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str,
         cur.fail(f"bad geometry: {exc}")
     if geometry.mode != mode:
         cur.fail(f"geometry mode {geometry.mode!r} disagrees with model mode {mode!r}")
+    # training writes the finite extremes of its outputs, and float32 capacity
+    if not (math.isfinite(geometry.lo) and math.isfinite(geometry.hi)):
+        cur.fail("geometry lo and hi must be finite")
+    if geometry.lo > geometry.hi:
+        cur.fail(f"geometry lo {geometry.lo!r} exceeds hi {geometry.hi!r}")
+    if mode == "float32" and geometry.num_bin != FLOAT32_CAPACITY:
+        cur.fail(f"float32 geometry num_bin must be {FLOAT32_CAPACITY}, got {geometry.num_bin}")
 
     line = cur.next()
     if not line.startswith("tree "):

@@ -10,8 +10,8 @@ real number; that number is what downstream histogram binning consumes.
 
 from __future__ import annotations
 
-import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +30,14 @@ MUTATION_SIGMA = 0.1      # stddev of Gaussian nudges applied to constants
 class RngStream:
     """Reproducible random source addressed by a root seed plus a path.
 
-    Child streams extend the path, so every site in a run (population slot,
-    generation, boost epoch) gets an independent generator that depends only
-    on its address, never on how much randomness other sites consumed.
+    Child streams extend the path, so every site in a run gets an
+    independent generator that depends only on its address, never on how
+    much randomness other sites consumed.  Training draws boost epoch
+    ``b``'s initial stumps from the generator at ``(b, 0)`` and breeds its
+    generation ``j`` from the one at ``(b, j)``.
 
-    The stream at an address is numpy's ``PCG64(SeedSequence(seed,
-    spawn_key=path))``.  :meth:`generator` computes the SeedSequence hash
-    itself: the pool after ``seed`` and all of ``path`` but its last entry is
-    cached, so the siblings of one parent (a generation's offspring slots,
-    an epoch's initial stumps) each mix in only their own last entry.
+    The generator at an address is numpy's
+    ``default_rng(SeedSequence(seed, spawn_key=path))``.
     """
 
     seed: int
@@ -48,100 +47,9 @@ class RngStream:
         return RngStream(self.seed, self.path + tuple(map(int, ids)))
 
     def generator(self) -> np.random.Generator:
-        """A fresh, independent generator whose state equals
-        ``PCG64(SeedSequence(seed, spawn_key=path))``'s.  Raises
+        """A fresh, independent generator for this address.  Raises
         ``ValueError`` for a negative seed or path entry, as numpy does."""
-        pool, _ = _absorb(*_pool(self.seed, self.path[:-1]), self.path[-1:])
-        return np.random.Generator(np.random.PCG64(_words_seed()(_pcg64_words(pool))))
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words,
-# pool size 4; NEP 19 keeps SeedSequence and PCG64 seeding stable.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(n: int) -> list[int]:
-    """``n`` as the 32-bit words SeedSequence reads, least significant first."""
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _mix_in(pool: list[int], h: int, word: int, skip: int = -1) -> int:
-    """Hash ``word`` into every pool word but ``skip``; returns the next hash
-    constant."""
-    for dst in range(4):
-        if dst != skip:
-            v = (word ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
-            v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
-            pool[dst] = v ^ v >> 16
-    return h
-
-
-def _absorb(pool: tuple[int, ...], h: int, ids) -> tuple[tuple[int, ...], int]:
-    """The pool and hash constant after mixing in the words of ``ids``."""
-    pool = list(pool)
-    for i in ids:
-        for word in _words(i):
-            h = _mix_in(pool, h, word)
-    return tuple(pool), h
-
-
-@functools.lru_cache(maxsize=64)
-def _pool(seed: int, path: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and hash constant after ``seed`` and ``path``."""
-    if path:
-        return _absorb(*_pool(seed, path[:-1]), path[-1:])
-    words = _words(seed)
-    words += [0] * (4 - len(words))  # numpy pads a short seed with zero words
-    pool, h = [], _INIT_A
-    for word in words[:4]:
-        v = (word ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
-        pool.append(v ^ v >> 16)
-    for src in range(4):
-        h = _mix_in(pool, h, pool[src], skip=src)
-    return _absorb(tuple(pool), h, words[4:])
-
-
-def _output_hash() -> tuple[tuple[int, int, int], ...]:
-    # generate_state's hash constant restarts at INIT_B, so each of its 8
-    # output words takes a fixed (pool index, xor, multiplier)
-    steps, h = [], _INIT_B
-    for i in range(8):
-        steps.append((i % 4, h, h := h * _MULT_B & _MASK32))
-    return tuple(steps)
-
-
-_OUTPUT_HASH = _output_hash()
-
-
-def _pcg64_words(pool: tuple[int, ...]) -> np.ndarray:
-    """What ``SeedSequence.generate_state(4, np.uint64)`` returns for a pool:
-    the four words PCG64 seeds itself from."""
-    out = [(pool[j] ^ x) * m & _MASK32 for j, x, m in _OUTPUT_HASH]
-    out = [v ^ v >> 16 for v in out]
-    return np.array([out[i] | out[i + 1] << 32 for i in (0, 2, 4, 6)], dtype=np.uint64)
-
-
-@functools.cache
-def _words_seed() -> type:
-    """numpy's ``ISeedSequence`` for seeding words computed in advance.  Made
-    on first use, so that importing gpstack does not import numpy.random."""
-
-    class WordsSeed(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words
-
-    return WordsSeed
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
 
 
 @dataclass(frozen=True)
@@ -204,58 +112,83 @@ def eval_record(tree: ProgramTree, record: np.ndarray) -> float:
     return float(eval_batch(tree, row)[0])
 
 
-def _random_terminal(d: int, rng: np.random.Generator) -> tuple[str, int | float]:
-    if rng.random() < ATTRIBUTE_PROB:
-        return ("attr", int(rng.integers(d)))
-    return ("const", float(rng.uniform(-CONST_RANGE, CONST_RANGE)))
+def _random_terminals(n: int, d: int, rng: np.random.Generator) -> list[tuple[str, int | float]]:
+    """``n`` fresh terminals from three array draws of ``n`` each: kinds
+    (a uniform below 0.9 reads an attribute), attribute indices uniform in
+    ``[0, d)``, and constants uniform in [-1, 1].  Terminal ``i`` takes the
+    ``i``-th attribute or the ``i``-th constant, whichever its kind says."""
+    reads = (rng.random(n) < ATTRIBUTE_PROB).tolist()
+    attrs = rng.integers(d, size=n).tolist()
+    consts = rng.uniform(-CONST_RANGE, CONST_RANGE, n).tolist()
+    return [("attr", a) if r else ("const", c) for r, a, c in zip(reads, attrs, consts)]
 
 
-def init_stump(d: int, rng: np.random.Generator) -> ProgramTree:
-    """Fresh single-node program: attribute read with probability 0.9, else a
-    uniform constant in [-1, 1]."""
+def init_stump(n: int, d: int, rng: np.random.Generator) -> tuple[ProgramTree, ...]:
+    """``n`` fresh single-node programs, each an attribute read with
+    probability 0.9, else a uniform constant in [-1, 1]."""
     if d < 1:
         raise ValueError("need at least one attribute")
-    return ProgramTree((_random_terminal(d, rng),))
+    return tuple(ProgramTree((t,)) for t in _random_terminals(n, d, rng))
 
 
-def grow_clone(parent: ProgramTree, d: int, rng: np.random.Generator) -> ProgramTree:
-    """Copy of ``parent`` with one leaf grown into an operator node.
+def grow_clone(parents: Sequence[ProgramTree], d: int,
+               rng: np.random.Generator) -> tuple[ProgramTree, ...]:
+    """One offspring per parent: a copy with one leaf grown into an
+    operator node.
 
     A uniformly chosen leaf (preorder order) becomes the left child of a new
     operator with a uniformly chosen op; the right child is a fresh random
-    terminal.  The parent is untouched.  Node count always grows by exactly 2.
+    terminal.  The draws are arrays over the parents in order: one
+    ``integers`` call with each parent's leaf count as its high, the
+    operators, then the terminals (kinds, attributes, constants).  Parents
+    are untouched, and each offspring has its parent's node count + 2.
     """
-    code = parent.code
-    leaves = [i for i, (head, _) in enumerate(code) if head not in OPS]
-    at = leaves[int(rng.integers(len(leaves)))]
-    op = OPS[int(rng.integers(len(OPS)))]
-    grown = ((op, None), code[at], _random_terminal(d, rng))
-    return ProgramTree(code[:at] + grown + code[at + 1:])
+    leaves = [[i for i, (head, _) in enumerate(p.code) if head not in OPS] for p in parents]
+    picks = rng.integers([len(ls) for ls in leaves]).tolist()
+    ops = rng.integers(len(OPS), size=len(parents)).tolist()
+    terminals = _random_terminals(len(parents), d, rng)
+    offspring = []
+    for parent, ls, pick, op, terminal in zip(parents, leaves, picks, ops, terminals):
+        code, at = parent.code, ls[pick]
+        offspring.append(ProgramTree(code[:at] + ((OPS[op], None), code[at], terminal)
+                                     + code[at + 1:]))
+    return tuple(offspring)
 
 
-def mutate_params(tree: ProgramTree, d: int, rng: np.random.Generator,
-                  rate: float = MUTATION_RATE, sigma: float = MUTATION_SIGMA) -> ProgramTree:
-    """Per-node parameter mutation; structure and node count never change.
+def mutate_params(trees: Sequence[ProgramTree], d: int, rng: np.random.Generator,
+                  rate: float = MUTATION_RATE,
+                  sigma: float = MUTATION_SIGMA) -> tuple[ProgramTree, ...]:
+    """Per-node parameter mutation of every tree; structure and node counts
+    never change.
 
-    Nodes are visited in preorder.  Each independently mutates with
-    probability ``rate``: constants get a Gaussian(0, sigma) nudge, attribute
-    indices are resampled uniformly, operators are resampled uniformly.  One
-    uniform draw per node decides the hit; a hit draws once more.  When no
-    node is hit, ``tree`` itself is returned.
+    One mask draws a uniform per node over the trees' nodes taken end to
+    end, each tree in preorder; a node below ``rate`` is hit.  The hit nodes
+    then draw their replacements in node order, as three arrays: attribute
+    indices resampled uniformly for the hit attributes, Gaussian(0, sigma)
+    nudges for the hit constants, and operators resampled uniformly for the
+    hit operators.  A tree with no hit node is returned itself.
     """
-    code = None
-    for i, (head, arg) in enumerate(tree.code):
-        if rng.random() >= rate:
-            continue
-        if code is None:
-            code = list(tree.code)
+    sizes = np.array([t.node_count for t in trees], dtype=np.int64)
+    hits = np.flatnonzero(rng.random(int(sizes.sum())) < rate)
+    ends = np.cumsum(sizes)
+    owners = np.searchsorted(ends, hits, side="right")
+    located = list(zip(owners.tolist(), (hits - (ends - sizes)[owners]).tolist()))
+    heads = [trees[t].code[i][0] for t, i in located]
+    attrs = iter(rng.integers(d, size=heads.count("attr")).tolist())
+    nudges = iter(rng.normal(0.0, sigma, heads.count("const")).tolist())
+    ops = iter(rng.integers(len(OPS), size=len(heads) - heads.count("attr")
+                            - heads.count("const")).tolist())
+    codes: dict[int, list] = {}
+    for (t, i), head in zip(located, heads):
+        code = codes.setdefault(t, list(trees[t].code))
         if head == "attr":
-            code[i] = ("attr", int(rng.integers(d)))
+            code[i] = ("attr", next(attrs))
         elif head == "const":
-            code[i] = ("const", arg + float(rng.normal(0.0, sigma)))
+            code[i] = ("const", code[i][1] + next(nudges))
         else:
-            code[i] = (OPS[int(rng.integers(len(OPS)))], None)
-    return tree if code is None else ProgramTree(tuple(code))
+            code[i] = (OPS[next(ops)], None)
+    return tuple(ProgramTree(tuple(codes[t])) if t in codes else tree
+                 for t, tree in enumerate(trees))
 
 
 def format_tree(tree: ProgramTree) -> str:

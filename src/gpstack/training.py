@@ -15,10 +15,14 @@ champion fitness seen so far in the run.  An epoch that produces no
 champion stalls the run and training stops with whatever stack exists.
 
 Every draw comes from an :class:`RngStream` addressed by the run's seed and
-a path: boost epoch ``b``, then ``(0, i)`` for initial stump ``i`` or ``j``
-for generation ``j``, then slot ``k`` for that generation's ``k``-th
-offspring.  A generation's offspring are bred only when another generation
-follows it; each slot draws only from its own address, so a generation
+a path: boost epoch ``b`` draws all its initial stumps from the generator
+at ``(b, 0)`` and breeds generation ``j`` from the one at ``(b, j)``.  Each
+generator's draws are arrays taken in a fixed order.  Stumps: terminal
+kinds, attributes, constants.  A generation: parents, leaf positions,
+operators, terminal kinds, attributes and constants, then one mutation
+mask over the offspring's nodes end to end and the hit nodes' new
+attributes, constant nudges and operators (see :func:`_breed`).  A
+generation is bred whole, and only when another generation follows it; one
 left unbred moves no other draw.
 """
 
@@ -244,10 +248,8 @@ def evolve_generation(pop, data: LabeledDataset, cfg: TrainerConfig,
     :func:`train` shares one table across an epoch's generations, so each
     program is scored at most once on its residual.
 
-    The next population is the top ``gap`` survivors followed by offspring.
-    Each offspring slot k draws from its own child stream ``stream.child(k)``:
-    a uniform parent from the survivors, one grow step, then parameter
-    mutation.  No other draw depends on whether or when it is bred.
+    The next population is the top ``gap`` survivors followed by the
+    offspring :func:`_breed` draws from ``stream``'s one generator.
     """
     scores = {} if scores is None else scores
     new = list({t.code: t for t in pop if t.code not in scores}.values())
@@ -261,13 +263,19 @@ def evolve_generation(pop, data: LabeledDataset, cfg: TrainerConfig,
 
 def _breed(survivors: tuple[ProgramTree, ...], d: int, n_offspring: int,
            stream: RngStream) -> tuple[ProgramTree, ...]:
-    offspring = []
-    for k in range(n_offspring):
-        g = stream.child(k).generator()
-        parent = survivors[int(g.integers(len(survivors)))]
-        child = grow_clone(parent, d, g)
-        offspring.append(mutate_params(child, d, g))
-    return survivors + tuple(offspring)
+    """The survivors followed by ``n_offspring`` offspring, all drawn from
+    one generator at ``stream``'s address.
+
+    The draws are arrays, in this order: each offspring's parent, uniform
+    over the survivors; then :func:`grow_clone`'s leaf positions (one
+    ``integers`` call with each parent's leaf count as its high), operators,
+    terminal kinds, attributes and constants; then :func:`mutate_params`'
+    mask over the grown offspring's nodes taken end to end, and the hit
+    nodes' new attributes, constant nudges and operators, each in node order.
+    """
+    g = stream.generator()
+    parents = [survivors[i] for i in g.integers(len(survivors), size=n_offspring).tolist()]
+    return survivors + mutate_params(grow_clone(parents, d, g), d, g)
 
 
 def find_champion(ranked, gap: int, best_fit: float, beta: float,
@@ -331,9 +339,7 @@ def train(data: LabeledDataset, cfg: TrainerConfig) -> EnsembleStack:
             break
         t_epoch = time.perf_counter()
         epoch = root.child(b)
-        pop: tuple[ProgramTree, ...] = tuple(
-            init_stump(data.d, epoch.child(0, i).generator())
-            for i in range(cfg.new_pop_size))
+        pop = init_stump(cfg.new_pop_size, data.d, epoch.child(0).generator())
         champion, scores = None, {}
         for j in range(1, cfg.max_gp_epoch + 1):
             result = evolve_generation(pop, residual, cfg, epoch.child(j), scores)

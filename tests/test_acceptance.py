@@ -82,10 +82,10 @@ def test_fitness_matches_brute_force_oracle():
     for i in range(1000):
         data = random_dataset(rng, n=int(rng.integers(2, 51)),
                               d=int(rng.integers(1, 5)))
-        tree = init_stump(data.d, rng)
+        (tree,) = init_stump(1, data.d, rng)
         for _ in range(int(rng.integers(0, 4))):
-            tree = grow_clone(tree, data.d, rng)
-        tree = mutate_params(tree, data.d, rng)
+            (tree,) = grow_clone([tree], data.d, rng)
+        (tree,) = mutate_params([tree], data.d, rng)
         cfg = FitnessConfig(beta=0.99,
                             alpha=float(rng.choice([0.0, 0.4, 1.0])),
                             num_bin=int(rng.integers(1, 9)),

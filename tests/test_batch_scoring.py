@@ -33,9 +33,9 @@ SPECIAL = ["(const 0.5)", "(sub (attr 0) (attr 0))", CLAMPED, f"(sub (const 0) {
 def random_population(rng, d, size):
     pop = [parse_tree(t.replace("attr 1", f"attr {min(1, d - 1)}")) for t in SPECIAL]
     while len(pop) < size:
-        tree = init_stump(d, rng)
+        (tree,) = init_stump(1, d, rng)
         for _ in range(int(rng.integers(0, 6))):
-            tree = mutate_params(grow_clone(tree, d, rng), d, rng)
+            (tree,) = mutate_params(grow_clone([tree], d, rng), d, rng)
         pop.append(tree)
     return pop
 
@@ -197,8 +197,7 @@ def run_epoch(data, cfg, shared, generations=6):
     """Ranked fitnesses and bred populations of one boost epoch, scored
     with one table for the epoch or a fresh table each generation."""
     epoch = RngStream(cfg.seed).child(1)
-    pop = tuple(init_stump(data.d, epoch.child(0, i).generator())
-                for i in range(cfg.new_pop_size))
+    pop = init_stump(cfg.new_pop_size, data.d, epoch.child(0).generator())
     scores, trace = {}, []
     for j in range(1, generations + 1):
         result = evolve_generation(pop, data, cfg, epoch.child(j), scores if shared else None)

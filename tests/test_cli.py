@@ -153,6 +153,19 @@ class TestTrainCommand:
         assert cfg.beta == 0.8    # config file beats preset
         assert cfg.gap == 7       # flag beats config file
 
+    @pytest.mark.parametrize("flags,seeds", [([], [5, 6]), (["--seed", "2"], [2, 3])])
+    def test_config_file_seed_applies_unless_the_flag_is_given(self, flags, seeds, toy_csv,
+                                                               tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = 5\n", encoding="utf-8")
+        model, out = tmp_path / "m.model", tmp_path / "r.json"
+        assert main(["train", "--data", toy_csv, "--config", str(cfg_file), "--trials", "2",
+                     "--boost-epochs", "3", *flags, "--model", str(model),
+                     "--out", str(out)]) == 0
+        assert [load_model(str(tmp_path / f"m_trial{t}.model")).config.seed
+                for t in range(2)] == seeds
+        assert [t["seed"] for t in read_json(str(out))["trials"]] == seeds
+
     def test_unknown_preset_exits_with_usage_error(self, toy_csv):
         with pytest.raises(SystemExit) as err:
             main(["train", "--data", toy_csv, "--preset", "huge"])
@@ -186,6 +199,16 @@ class TestNegativeSeed:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --seed must be non-negative, got -1"]
+
+    def test_config_file_seed_rejected_before_the_csv_is_parsed(self, toy_csv, tmp_path,
+                                                                capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", never)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = -1\n", encoding="utf-8")
+        rc = main(["train", "--data", toy_csv, "--config", str(cfg_file)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be non-negative, got -1"]
 
 
 def never(*args, **kwargs):

@@ -64,9 +64,9 @@ def random_programs(rng, d):
     for i in rng.permutation(len(SPECIAL)):
         yield parse_tree(SPECIAL[i])
     while True:
-        tree = init_stump(d, rng)
+        (tree,) = init_stump(1, d, rng)
         for _ in range(int(rng.integers(0, 4))):
-            tree = mutate_params(grow_clone(tree, d, rng), d, rng)
+            (tree,) = mutate_params(grow_clone([tree], d, rng), d, rng)
         yield tree
 
 

@@ -180,6 +180,36 @@ class TestCorruptInput:
         with pytest.raises(ModelFormatError, match=f"line {idx + 1}: geometry mode"):
             loads("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("name,lo,hi", [
+        ("float32_seed0.model", "nan", "inf"), ("float32_seed0.model", "0.0", "nan"),
+        ("fixed_seed0.model", "-inf", None), ("fixed_seed0.model", None, "inf")])
+    def test_geometry_bounds_must_be_finite(self, name, lo, hi):
+        # a fixed geometry with lo = -inf would otherwise fail only at its
+        # first bin, after key_reps has warned of an invalid value
+        text, number, parts = first_geometry(name)
+        parts[2:4] = [lo or parts[2], hi or parts[3]]
+        if parts[1] == "float32":
+            parts[4] = "2"
+        with pytest.raises(ModelFormatError,
+                           match=f"^line {number}: geometry lo and hi must be finite"):
+            loads(with_line(text, number, " ".join(parts)))
+
+    @pytest.mark.parametrize("name", ["fixed_seed0.model", "float32_seed0.model"])
+    def test_geometry_lo_above_hi_rejected(self, name):
+        text, number, parts = first_geometry(name)
+        assert float(parts[2]) < float(parts[3])
+        parts[2:4] = parts[3], parts[2]
+        with pytest.raises(ModelFormatError, match=f"^line {number}: geometry lo .* exceeds hi"):
+            loads(with_line(text, number, " ".join(parts)))
+
+    @pytest.mark.parametrize("num_bin", ["2", "4294967295", "4294967297"])
+    def test_float32_geometry_num_bin_must_be_the_capacity(self, num_bin):
+        text, number, parts = first_geometry("float32_seed0.model")
+        parts[4] = num_bin
+        with pytest.raises(ModelFormatError,
+                           match=f"^line {number}: float32 geometry num_bin must be 4294967296"):
+            loads(with_line(text, number, " ".join(parts)))
+
     @pytest.mark.parametrize("kind", ["pure", "ambig"])
     def test_fixed_rep_must_match_key(self, kind):
         lines = dumps(trained_stack(0)).splitlines()
@@ -289,9 +319,27 @@ class TestCorruptInput:
         assert dumps(trained_stack(0)).startswith(MAGIC + "\n")
 
 
-def golden_model(name):
-    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
+def golden_model(name, directory=GOLDEN_DIR):
+    with open(os.path.join(directory, name), encoding="utf-8", newline="") as fh:
         return fh.read()
+
+
+# Model texts that TestStacksTrainingCannotWrite edits by line number.  They
+# are trained models kept apart from tests/golden/, so that regenerating the
+# golden files leaves these edits, their line numbers and their values valid.
+EDIT_BASES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "edit_bases")
+
+
+def edit_base(name):
+    return golden_model(name, EDIT_BASES)
+
+
+def first_geometry(name):
+    """A golden model's text, the 1-based number of its first geometry line,
+    and that line's space-separated parts."""
+    text = golden_model(name)
+    index = next(i for i, line in enumerate(text.split("\n")) if line.startswith("geometry "))
+    return text, index + 1, text.split("\n")[index].split(" ")
 
 
 def with_line(text, number, new):
@@ -304,7 +352,7 @@ def with_line(text, number, new):
 class TestStacksTrainingCannotWrite:
     """Text that saves back unchanged but that no training run writes.
 
-    Edits of ``fixed_seed0.model``: 8 entries, ``max_boost_epoch 8``,
+    Edits of ``edit_bases/small_fixed.model``: 8 entries, ``max_boost_epoch 8``,
     ``residual_sizes`` on line 16; entry 1's ``boost_epoch``, ``fitness`` and
     ``records_claimed 4`` on lines 20-22 and its one pure bin (4 of 4) on
     line 27; entry 2 starts on line 31, entry 8's ``records_claimed 1`` is
@@ -338,26 +386,26 @@ class TestStacksTrainingCannotWrite:
          "residual_sizes must be non-negative"),
     ])
     def test_fixed_model_edit_rejected(self, number, new, at, message):
-        text = with_line(golden_model("fixed_seed0.model"), number, new)
+        text = with_line(edit_base("small_fixed.model"), number, new)
         with pytest.raises(ModelFormatError, match=f"^line {at}: .*{message}"):
             loads(text)
 
     def test_negative_seed_rejected(self):
         # line 11 is the header's seed
-        text = with_line(golden_model("fixed_seed0.model"), 11, "seed -1")
+        text = with_line(edit_base("small_fixed.model"), 11, "seed -1")
         with pytest.raises(ModelFormatError, match="seed must be non-negative, got -1"):
             loads(text)
 
     def test_consistent_claim_edit_loads(self):
         # the records_claimed identity holds for other numbers too: one more
         # record in entry 1's pure bin and in the first residual
-        text = golden_model("fixed_seed0.model")
+        text = edit_base("small_fixed.model")
         text = with_line(text, 16, "residual_sizes 141 136 135 132 130 126 125 120 119")
         text = with_line(text, 22, "records_claimed 5")
         text = with_line(text, 27, "pure 1 12.136480963810582 1 5 5")
         assert dumps(loads(text)) == text
 
-    # rounded_float32_seed0.model: first pure bin on line 27, first
+    # edit_bases/rounded_float32.model: first pure bin on line 27, first
     # ambiguous bin on line 73
     @pytest.mark.parametrize("number,new", [
         (27, "pure 3227097499 -3.4000000953674316 0 1 1"),  # key one bit off
@@ -367,7 +415,7 @@ class TestStacksTrainingCannotWrite:
         (73, "ambig 3201092813 -0.4000000059604646"),
     ])
     def test_float32_key_must_be_the_bits_of_its_rep(self, number, new):
-        text = with_line(golden_model("rounded_float32_seed0.model"), number, new)
+        text = with_line(edit_base("rounded_float32.model"), number, new)
         with pytest.raises(ModelFormatError,
                            match=f"^line {number}: bin key .* are not one float32 value"):
             loads(text)

@@ -26,10 +26,10 @@ def depth(tree):
 
 
 def random_tree(rng, d=3, grows=3):
-    t = init_stump(d, rng)
+    (t,) = init_stump(1, d, rng)
     for _ in range(int(rng.integers(0, grows + 1))):
-        t = grow_clone(t, d, rng)
-    return mutate_params(t, d, rng)
+        (t,) = grow_clone([t], d, rng)
+    return mutate_params([t], d, rng)[0]
 
 
 class TestEval:
@@ -95,16 +95,16 @@ class TestEval:
 
 class TestInitStump:
     def test_single_attribute_goes_to_index_zero(self):
-        rng = np.random.default_rng(0)  # first draw takes the attribute branch
-        t = init_stump(1, rng)
+        rng = np.random.default_rng(0)  # first kind draw takes the attribute branch
+        (t,) = init_stump(1, 1, rng)
         assert t.code == (("attr", 0),)
         assert t.node_count == 1 and depth(t) == 1
 
     def test_constant_branch_in_range(self):
         rng = np.random.default_rng(0)
         seen_const = False
-        for _ in range(500):
-            (head, arg), = init_stump(3, rng).code
+        for t in init_stump(500, 3, rng):
+            (head, arg), = t.code
             if head == "const":
                 seen_const = True
                 assert -1.0 <= arg <= 1.0
@@ -114,24 +114,18 @@ class TestInitStump:
 
     def test_attribute_rate_about_ninety_percent(self):
         rng = np.random.default_rng(1)
-        hits = sum(init_stump(4, rng).code[0][0] == "attr" for _ in range(4000))
+        hits = sum(t.code[0][0] == "attr" for t in init_stump(4000, 4, rng))
         assert 0.87 < hits / 4000 < 0.93
 
     def test_stream_determinism(self):
         s = RngStream(42).child(3, 1)
-        a = init_stump(5, s.generator())
-        b = init_stump(5, s.generator())
-        assert a.code == b.code
+        a = init_stump(8, 5, s.generator())
+        b = init_stump(8, 5, s.generator())
+        assert [t.code for t in a] == [t.code for t in b]
 
     def test_zero_attributes_rejected(self):
         with pytest.raises(ValueError):
-            init_stump(0, np.random.default_rng(0))
-
-
-def random_int(rng, max_bits):
-    """A non-negative integer of 0 to ``max_bits`` bits, 0 included."""
-    bits = int(rng.integers(0, max_bits + 1))
-    return int.from_bytes(rng.bytes(24), "little") >> (192 - bits)
+            init_stump(1, 0, np.random.default_rng(0))
 
 
 def numpy_generator(seed, path):
@@ -139,26 +133,7 @@ def numpy_generator(seed, path):
 
 
 class TestStreamsMatchNumpy:
-    """``RngStream.generator`` hashes the address itself; numpy's
-    SeedSequence is the reference it must equal."""
-
-    def test_random_addresses(self):
-        rng = np.random.default_rng(2024)
-        addresses = [(random_int(rng, 160),
-                      tuple(random_int(rng, 40) for _ in range(int(rng.integers(0, 5)))))
-                     for _ in range(3000)]
-        seeds = [seed for seed, _ in addresses]
-        entries = [i for _, path in addresses for i in path]
-        # the sample covers every case the hash treats apart
-        assert min(seeds) < 2 ** 32 <= max(seeds) and max(seeds) >= 2 ** 128
-        assert 0 in entries and max(entries) >= 2 ** 32
-        assert {len(path) for _, path in addresses} == {0, 1, 2, 3, 4}
-        for seed, path in addresses:
-            ours, ref = RngStream(seed, path).generator(), numpy_generator(seed, path)
-            assert ours.bit_generator.state == ref.bit_generator.state, (seed, path)
-            assert ours.random(3).tolist() == ref.random(3).tolist()
-            assert (ours.integers(0, 2 ** 63, 3).tolist()
-                    == ref.integers(0, 2 ** 63, 3).tolist())
+    """``RngStream.generator`` is numpy's own generator at the address."""
 
     def test_child_paths_match_numpy(self):
         stream = RngStream(5).child(np.int64(3), 7).child(0)
@@ -183,23 +158,23 @@ class TestStreamsMatchNumpy:
 class TestGrowClone:
     def test_adds_exactly_two_nodes(self):
         rng = np.random.default_rng(2)
-        t = init_stump(3, rng)
+        pop = init_stump(5, 3, rng)
         for _ in range(10):
-            bigger = grow_clone(t, 3, rng)
-            assert bigger.node_count == t.node_count + 2
-            t = bigger
+            bigger = grow_clone(pop, 3, rng)
+            assert [b.node_count for b in bigger] == [t.node_count + 2 for t in pop]
+            pop = bigger
 
     def test_parent_untouched(self):
         rng = np.random.default_rng(3)
         t = tree_of("(add (attr 0) (const 0.5))")
         before = format_tree(t)
-        grow_clone(t, 2, rng)
+        grow_clone([t, t], 2, rng)
         assert format_tree(t) == before
 
     def test_displaced_leaf_becomes_left_child(self):
         rng = np.random.default_rng(4)
         t = tree_of("(attr 1)")
-        child = grow_clone(t, 2, rng)
+        (child,) = grow_clone([t], 2, rng)
         assert child.code[0][0] in OPS
         assert child.code[1] == ("attr", 1)
         assert depth(child) == 2
@@ -207,15 +182,14 @@ class TestGrowClone:
     def test_same_stream_same_offspring(self):
         t = tree_of("(add (attr 0) (attr 1))")
         s = RngStream(7).child(1)
-        a = grow_clone(t, 2, s.generator())
-        b = grow_clone(t, 2, s.generator())
-        assert format_tree(a) == format_tree(b)
+        a = grow_clone([t] * 3, 2, s.generator())
+        b = grow_clone([t] * 3, 2, s.generator())
+        assert list(map(format_tree, a)) == list(map(format_tree, b))
 
     def test_depth_grows_by_at_most_one(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            t = random_tree(rng, d=3, grows=4)
-            child = grow_clone(t, 3, rng)
+        trees = [random_tree(rng, d=3, grows=4) for _ in range(50)]
+        for t, child in zip(trees, grow_clone(trees, 3, rng)):
             assert depth(t) <= depth(child) <= depth(t) + 1
 
     def test_every_leaf_reachable(self):
@@ -223,8 +197,7 @@ class TestGrowClone:
         t = tree_of("(add (attr 0) (attr 1))")
         rng = np.random.default_rng(6)
         seen = set()
-        for _ in range(100):
-            child = grow_clone(t, 2, rng)
+        for child in grow_clone([t] * 100, 2, rng):
             seen.add("left" if child.code[1][0] in OPS else "right")
         assert seen == {"left", "right"}
 
@@ -232,15 +205,14 @@ class TestGrowClone:
 class TestMutateParams:
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(0)
-        t = random_tree(rng, d=3, grows=3)
-        same = mutate_params(t, 3, rng, rate=0.0)
-        assert same is t
+        trees = [random_tree(rng, d=3, grows=3) for _ in range(5)]
+        same = mutate_params(trees, 3, rng, rate=0.0)
+        assert all(m is t for m, t in zip(same, trees))
 
     def test_structure_preserved(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            t = random_tree(rng, d=4, grows=4)
-            m = mutate_params(t, 4, rng, rate=1.0)
+        trees = [random_tree(rng, d=4, grows=4) for _ in range(50)]
+        for t, m in zip(trees, mutate_params(trees, 4, rng, rate=1.0)):
             assert m.node_count == t.node_count
             assert depth(m) == depth(t)
             assert [h in OPS for h, _ in m.code] == [h in OPS for h, _ in t.code]
@@ -248,30 +220,31 @@ class TestMutateParams:
     def test_constant_gets_gaussian_nudge(self):
         t = tree_of("(const 0.5)")
         s = RngStream(11).child(0)
-        m = mutate_params(t, 1, s.generator(), rate=1.0, sigma=0.1)
+        (m,) = mutate_params([t], 1, s.generator(), rate=1.0, sigma=0.1)
         g = s.generator()
-        g.random()  # the hit decision
-        expected = 0.5 + g.normal(0.0, 0.1)
+        g.random(1)  # the mask
+        g.integers(1, size=0)  # no attribute is hit
+        expected = 0.5 + float(g.normal(0.0, 0.1, 1)[0])
         assert m.code == (("const", expected),)
 
     def test_attribute_resampled_in_range(self):
         t = tree_of("(attr 0)")
         rng = np.random.default_rng(2)
-        seen = {mutate_params(t, 5, rng, rate=1.0).code[0][1] for _ in range(200)}
+        seen = {m.code[0][1] for m in mutate_params([t] * 200, 5, rng, rate=1.0)}
         assert seen == {0, 1, 2, 3, 4}
 
     def test_operator_resampled(self):
         t = tree_of("(add (attr 0) (attr 0))")
         rng = np.random.default_rng(3)
-        ops = {mutate_params(t, 1, rng, rate=1.0).code[0][0] for _ in range(200)}
+        ops = {m.code[0][0] for m in mutate_params([t] * 200, 1, rng, rate=1.0)}
         assert ops == {"add", "sub", "mul", "pdiv"}
 
     def test_same_stream_same_result(self):
         t = tree_of("(add (const 0.1) (attr 0))")
         s = RngStream(9).child(2)
-        a = mutate_params(t, 3, s.generator())
-        b = mutate_params(t, 3, s.generator())
-        assert format_tree(a) == format_tree(b)
+        a = mutate_params([t] * 5, 3, s.generator())
+        b = mutate_params([t] * 5, 3, s.generator())
+        assert list(map(format_tree, a)) == list(map(format_tree, b))
 
 
 class TestTextFormat:
@@ -346,10 +319,11 @@ class Operator:
 Node = Union[Attribute, Constant, Operator]
 
 
-def ref_terminal(d, rng):
-    if rng.random() < ATTRIBUTE_PROB:
-        return Attribute(int(rng.integers(d)))
-    return Constant(float(rng.uniform(-CONST_RANGE, CONST_RANGE)))
+def ref_terminals(n, d, rng):
+    reads = rng.random(n) < ATTRIBUTE_PROB
+    attrs = rng.integers(d, size=n)
+    consts = rng.uniform(-CONST_RANGE, CONST_RANGE, n)
+    return [Attribute(int(a)) if r else Constant(float(c)) for r, a, c in zip(reads, attrs, consts)]
 
 
 def ref_leaves(node):
@@ -374,28 +348,46 @@ def _replace_leaf(node, target, replacement, counter):
     return node
 
 
-def ref_grow(root, d, rng):
-    leaves = ref_leaves(root)
-    target = int(rng.integers(len(leaves)))
-    op = OPS[int(rng.integers(len(OPS)))]
-    replacement = Operator(op, leaves[target], ref_terminal(d, rng))
-    return _replace_leaf(root, target, replacement, [0])
+def ref_grow(roots, d, rng):
+    leaves = [ref_leaves(root) for root in roots]
+    targets = rng.integers([len(ls) for ls in leaves])
+    ops = rng.integers(len(OPS), size=len(roots))
+    terminals = ref_terminals(len(roots), d, rng)
+    return [_replace_leaf(root, int(t), Operator(OPS[int(op)], ls[int(t)], terminal), [0])
+            for root, ls, t, op, terminal in zip(roots, leaves, targets, ops, terminals)]
 
 
-def _mutate_node(node, d, rng, rate, sigma):
-    hit = rng.random() < rate
+def ref_preorder(node):
+    yield node
     if isinstance(node, Operator):
-        op = OPS[int(rng.integers(len(OPS)))] if hit else node.op
-        left = _mutate_node(node.left, d, rng, rate, sigma)
-        right = _mutate_node(node.right, d, rng, rate, sigma)
-        if op == node.op and left is node.left and right is node.right:
+        yield from ref_preorder(node.left)
+        yield from ref_preorder(node.right)
+
+
+def ref_mutate(roots, d, rng, rate, sigma):
+    """One mask over every root's nodes, preorder, root after root; then the
+    hit attributes', constants' and operators' new values, each in that order."""
+    nodes = [node for root in roots for node in ref_preorder(root)]
+    hits = (rng.random(len(nodes)) < rate).tolist()
+    kinds = [type(node) for node, hit in zip(nodes, hits) if hit]
+    attrs = iter(rng.integers(d, size=kinds.count(Attribute)).tolist())
+    nudges = iter(rng.normal(0.0, sigma, kinds.count(Constant)).tolist())
+    ops = iter(rng.integers(len(OPS), size=kinds.count(Operator)).tolist())
+    hit = iter(hits)
+
+    def rebuild(node):
+        if not next(hit):
+            if isinstance(node, Operator):
+                return Operator(node.op, rebuild(node.left), rebuild(node.right))
             return node
-        return Operator(op, left, right)
-    if not hit:
-        return node
-    if isinstance(node, Attribute):
-        return Attribute(int(rng.integers(d)))
-    return Constant(node.value + float(rng.normal(0.0, sigma)))
+        if isinstance(node, Operator):
+            op = OPS[next(ops)]  # before its subtrees, in preorder
+            return Operator(op, rebuild(node.left), rebuild(node.right))
+        if isinstance(node, Attribute):
+            return Attribute(next(attrs))
+        return Constant(node.value + next(nudges))
+
+    return [rebuild(root) for root in roots]
 
 
 def ref_text(node):
@@ -466,24 +458,27 @@ def bits(values):
 
 class TestAgainstNodeTree:
     """``init_stump``, ``grow_clone`` and ``mutate_params`` draw, build and
-    evaluate exactly what the node-tree implementation did."""
+    evaluate exactly what node trees given the same array draws do."""
 
     @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
     def test_same_programs_draws_and_outputs(self, rate):
         for stream in range(150):
-            d = 1 + stream % 7
+            d, n = 1 + stream % 7, 1 + stream % 4
             rng, ref_rng = (RngStream(stream, (int(rate * 10),)).generator() for _ in "ab")
-            tree = init_stump(d, rng)
-            root = ref_terminal(d, ref_rng)
+            trees = init_stump(n, d, rng)
+            roots = ref_terminals(n, d, ref_rng)
             for step in range(13):
                 where = f"stream {stream} step {step}"
-                assert format_tree(tree) == ref_text(root), where
-                assert (tree.node_count, depth(tree)) == ref_measure(root), where
+                assert [format_tree(t) for t in trees] == [ref_text(r) for r in roots], where
+                assert ([(t.node_count, depth(t)) for t in trees]
+                        == [ref_measure(r) for r in roots]), where
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, where
-                tree = mutate_params(grow_clone(tree, d, rng), d, rng, rate=rate)
-                root = _mutate_node(ref_grow(root, d, ref_rng), d, ref_rng, rate, 0.1)
+                trees = mutate_params(grow_clone(trees, d, rng), d, rng, rate=rate)
+                roots = ref_mutate(ref_grow(roots, d, ref_rng), d, ref_rng, rate, 0.1)
             X = probe_records(rng, d)
-            np.testing.assert_array_equal(bits(eval_batch(tree, X)), bits(ref_eval(root, X)))
+            for tree, root in zip(trees, roots):
+                np.testing.assert_array_equal(bits(eval_batch(tree, X)),
+                                              bits(ref_eval(root, X)))
 
     def test_signed_zero_and_clamped_outputs_keep_their_bits(self):
         X = np.array([[0.0, 1e300], [-0.0, -1e300], [2.0, 1e-10]])

@@ -9,8 +9,8 @@ from gpstack import training
 from gpstack.binning import FitnessConfig, bin_table, fit_histogram, gini_fitness
 from gpstack.dataset import LabeledDataset
 from gpstack.model import dumps
-from gpstack.programs import (RngStream, eval_batch, format_tree, grow_clone, mutate_params,
-                              parse_tree)
+from gpstack.programs import (ATTRIBUTE_PROB, MUTATION_RATE, OPS, RngStream, eval_batch,
+                              format_tree, grow_clone, mutate_params, parse_tree)
 from gpstack.training import (ChampionEntry, PRESETS, ScoredTree, TrainerConfig,
                               evolve_generation, extract_residual, find_champion,
                               preset, train)
@@ -139,14 +139,13 @@ class TestLazyBreeding:
         result = evolve_generation(pop, data, cfg, stream)
         assert grown == []  # scoring and ranking breed nothing
         survivors = [s.tree for s in result.ranked[:cfg.gap]]
-        eager = list(survivors)
-        for k in range(cfg.new_pop_size - cfg.gap):
-            g = stream.child(k).generator()
-            parent = survivors[int(g.integers(len(survivors)))]
-            eager.append(mutate_params(grow_clone(parent, data.d, g), data.d, g))
+        g = stream.generator()
+        picks = g.integers(len(survivors), size=cfg.new_pop_size - cfg.gap)
+        parents = [survivors[i] for i in picks]
+        eager = survivors + list(mutate_params(grow_clone(parents, data.d, g), data.d, g))
         assert [format_tree(t) for t in result.next_pop] == [format_tree(t) for t in eager]
         assert result.next_pop is result.next_pop  # bred once
-        assert len(grown) == cfg.new_pop_size - cfg.gap
+        assert len(grown) == 1  # and whole, in one call
 
     def test_train_breeds_only_generations_another_follows(self, grown, monkeypatch):
         paths = []
@@ -163,7 +162,88 @@ class TestLazyBreeding:
         followed = len(paths) - len({b for b, _ in paths})
         # champions after several generations, and a stalled last epoch
         assert followed > 0 and stack.log.stalled
-        assert len(grown) == (cfg.new_pop_size - cfg.gap) * followed
+        assert len(grown) == followed
+        assert all(len(args[0]) == cfg.new_pop_size - cfg.gap for args in grown)
+
+
+class TestDrawLayout:
+    """Each generation is bred from one generator, with array draws whose
+    shares match the breeding rules: uniform parents and leaves, attributes
+    read with probability 0.9, nodes mutated with probability 0.1."""
+
+    def test_one_generator_per_bred_generation_and_per_epoch_stumps(self, monkeypatch):
+        made, evolved = [], []
+        generator, evolve = RngStream.generator, training.evolve_generation
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda self: made.append(self.path) or generator(self))
+        monkeypatch.setattr(training, "evolve_generation",
+                            lambda pop, data, cfg, stream, scores=None:
+                            evolved.append(stream.path) or evolve(pop, data, cfg, stream, scores))
+        data = random_dataset(np.random.default_rng(0), n=120, d=3)
+        cfg = TrainerConfig(max_gp_epoch=3, new_pop_size=8, gap=3, beta=0.9)
+        train(data, cfg)
+        # each epoch: its stumps at (b, 0), then every generation another follows
+        expected = []
+        for b in sorted({b for b, _ in evolved}):
+            expected.append((b, 0))
+            expected += [(b, j) for e, j in evolved if e == b and (b, j + 1) in evolved]
+        assert made == expected and len(made) > len({b for b, _ in evolved})
+
+    def test_offspring_grow_their_parents_by_two(self):
+        parents = [parse_tree(t) for t in PARENTS]
+        before = [p.code for p in parents]
+        for j in range(1, 20):
+            offspring = training._breed(tuple(parents), 3, 16, RngStream(4).child(1, j))
+            assert offspring[:len(parents)] == tuple(parents)
+            assert {c.node_count for c in offspring[len(parents):]} <= \
+                   {p.node_count + 2 for p in parents}
+        for children in (grow_clone(parents, 3, np.random.default_rng(j)) for j in range(20)):
+            assert [c.node_count for c in children] == [p.node_count + 2 for p in parents]
+        assert [p.code for p in parents] == before
+
+    def test_draw_shares_lie_within_4_se_of_their_targets(self):
+        # survivors of distinct sizes, so an offspring's size names its parent
+        parents = [parse_tree(t) for t in PARENTS]
+        by_size = {p.node_count: p for p in parents}
+        picked = dict.fromkeys(by_size, 0)
+        leaf_at = {size: [0] * ((size + 1) // 2) for size in by_size}
+        reads = terminals = 0
+        changed = {"const": [0, 0], "op": [0, 0]}  # [changed, seen]
+        for j in range(1, 401):
+            offspring = training._breed(tuple(parents), 3, 16, RngStream(11).child(1, j))
+            for child in offspring[len(parents):]:
+                parent = by_size[child.node_count - 2]
+                picked[parent.node_count] += 1
+                shape = [head in OPS for head, _ in child.code]
+                at = next(i for i, (head, _) in enumerate(parent.code) if (head in OPS) != shape[i])
+                leaf_at[parent.node_count][sum(h not in OPS for h, _ in parent.code[:at])] += 1
+                reads += child.code[at + 2][0] == "attr"
+                terminals += 1
+                # the parent's nodes in the child: all but the new operator and terminal
+                kept = child.code[:at] + child.code[at + 1:at + 2] + child.code[at + 3:]
+                for (head, arg), (was, old) in zip(kept, parent.code):
+                    kind = "op" if was in OPS else was
+                    if kind in changed:
+                        changed[kind][0] += (head, arg) != (was, old)
+                        changed[kind][1] += 1
+
+        def within_4_se(hits, n, p):
+            assert abs(hits / n - p) <= 4 * np.sqrt(p * (1 - p) / n), (hits, n, p)
+
+        for count in picked.values():
+            within_4_se(count, sum(picked.values()), 1 / len(parents))
+        for counts in leaf_at.values():
+            for count in counts:
+                within_4_se(count, sum(counts), 1 / len(counts))
+        within_4_se(reads, terminals, ATTRIBUTE_PROB)
+        within_4_se(*changed["const"], MUTATION_RATE)  # a hit constant always moves
+        within_4_se(*changed["op"], MUTATION_RATE * 3 / 4)  # a hit op keeps its op 1 time in 4
+
+
+# survivors with 1, 3, 5 and 7 nodes, constants and operators among them
+PARENTS = ["(const 0.5)", "(add (const 0.25) (attr 0))",
+           "(mul (add (attr 1) (const -0.5)) (attr 2))",
+           "(sub (pdiv (const 0.75) (attr 0)) (mul (const 2.0) (attr 1)))"]
 
 
 class TestFindChampion:
