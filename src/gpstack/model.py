@@ -248,7 +248,7 @@ def _parse_entry(cur: _Cursor, n_classes: int, n_attributes: int, mode: str,
         cur.fail(f"bad geometry: {exc}")
     if geometry.mode != mode:
         cur.fail(f"geometry mode {geometry.mode!r} disagrees with model mode {mode!r}")
-    # training writes the finite extremes of its outputs, and float32 capacity
+    # training writes its outputs' finite extremes, and FLOAT32_CAPACITY as float32 num_bin
     if not (math.isfinite(geometry.lo) and math.isfinite(geometry.hi)):
         cur.fail("geometry lo and hi must be finite")
     if geometry.lo > geometry.hi:

@@ -174,10 +174,10 @@ def mutate_params(trees: Sequence[ProgramTree], d: int, rng: np.random.Generator
     owners = np.searchsorted(ends, hits, side="right")
     located = list(zip(owners.tolist(), (hits - (ends - sizes)[owners]).tolist()))
     heads = [trees[t].code[i][0] for t, i in located]
-    attrs = iter(rng.integers(d, size=heads.count("attr")).tolist())
-    nudges = iter(rng.normal(0.0, sigma, heads.count("const")).tolist())
-    ops = iter(rng.integers(len(OPS), size=len(heads) - heads.count("attr")
-                            - heads.count("const")).tolist())
+    n_attr, n_const = heads.count("attr"), heads.count("const")
+    attrs = iter(rng.integers(d, size=n_attr).tolist())
+    nudges = iter(rng.normal(0.0, sigma, n_const).tolist())
+    ops = iter(rng.integers(len(OPS), size=len(heads) - n_attr - n_const).tolist())
     codes: dict[int, list] = {}
     for (t, i), head in zip(located, heads):
         code = codes.setdefault(t, list(trees[t].code))

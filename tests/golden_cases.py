@@ -17,7 +17,7 @@ stack of up to 10 levels, as the benchmark's uci workload does.
 270 ``pos`` and 330 ``neg`` labels, shuffled; attributes 0 and 1 normal with
 mean +0.4 and -0.4 times the class sign and unit spread, rounded to one
 decimal (so ``-0.0`` occurs); attributes 2 and 3 integers 0-3 of noise.
-Its float32 stacks are 3 and 4 levels deep, and their holdout answers
+Its float32 stacks are both 4 levels deep, and their holdout answers
 include exact pure-bin hits, ambiguous pass-downs and nearest-pure answers
 below level 1.
 """
