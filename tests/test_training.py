@@ -190,16 +190,16 @@ class TestDrawLayout:
         assert made == expected and len(made) > len({b for b, _ in evolved})
 
     def test_offspring_grow_their_parents_by_two(self):
-        parents = [parse_tree(t) for t in PARENTS]
-        before = [p.code for p in parents]
+        survivors = tuple(parse_tree(t) for t in PARENTS)
+        before = [p.code for p in survivors]
         for j in range(1, 20):
-            offspring = training._breed(tuple(parents), 3, 16, RngStream(4).child(1, j))
-            assert offspring[:len(parents)] == tuple(parents)
-            assert {c.node_count for c in offspring[len(parents):]} <= \
-                   {p.node_count + 2 for p in parents}
-        for children in (grow_clone(parents, 3, np.random.default_rng(j)) for j in range(20)):
-            assert [c.node_count for c in children] == [p.node_count + 2 for p in parents]
-        assert [p.code for p in parents] == before
+            stream = RngStream(4).child(1, j)
+            picks = stream.generator().integers(len(survivors), size=16)  # the first draw
+            bred = training._breed(survivors, 3, 16, stream)
+            assert bred[:len(survivors)] == survivors
+            assert ([c.node_count for c in bred[len(survivors):]]
+                    == [survivors[i].node_count + 2 for i in picks])
+        assert [p.code for p in survivors] == before
 
     def test_draw_shares_lie_within_4_se_of_their_targets(self):
         # survivors of distinct sizes, so an offspring's size names its parent
