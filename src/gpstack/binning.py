@@ -17,8 +17,8 @@ Every value-to-bin decision lives here: :func:`float32_values` is the one
 -0.0 normalisation, :func:`float32_bins` the one float32 dedupe that
 histograms and lookups share, :func:`fixed_keys` the one fixed-mode key
 computation, :func:`float32_counts` the float32 bin counts that scoring
-reads, and :class:`LevelLookup` the one per-level answer rule of a deployed
-stack.
+reads, :func:`pure_mask` the one bin purity rule, and :class:`LevelLookup`
+the one per-level answer rule of a deployed stack.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class FitnessConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
+        if not 0.0 <= self.alpha < float("inf"):
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
         if self.num_bin < 1:
             raise ValueError("num_bin must be at least 1")
 
@@ -186,8 +186,8 @@ def fixed_keys(outputs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         outputs /= width[:, None]
         for rows, scaled in redo:
             outputs[rows] = scaled
-    np.floor(outputs, out=outputs)
-    np.maximum(outputs, 0, out=outputs)  # np.clip, minus its Python overhead
+    # np.clip, minus its Python overhead; on [0, num_bin - 1] truncation is floor
+    np.maximum(outputs, 0, out=outputs)
     np.minimum(outputs, num_bin - 1, out=outputs)
     return outputs.astype(np.int64)
 
@@ -255,15 +255,24 @@ def fit_histogram(tree: ProgramTree, data: LabeledDataset, cfg: FitnessConfig) -
                         inverse.astype(np.int32), data.n, C)
 
 
+def pure_mask(counts: np.ndarray, beta: float) -> np.ndarray:
+    """Which bins of a (..., bins, classes) count array are pure: occupied,
+    with their majority class holding at least a ``beta`` fraction of their
+    records.  The one purity rule, shared by :func:`bin_table` and scoring."""
+    totals = counts.sum(axis=-1)
+    occupied = totals > 0
+    return occupied & (counts.max(axis=-1) / np.where(occupied, totals, 1) >= beta)
+
+
 def bin_table(hist: BinHistogram, beta: float) -> tuple[tuple[PureBin, ...], tuple[AmbiguousBin, ...]]:
     """Split occupied bins into the pure and ambiguous tables, rep order.
 
-    A bin is pure when its majority class holds at least a ``beta`` fraction
-    of its records; majority ties go to the lower class."""
+    A bin is pure by :func:`pure_mask`: its majority class holds at least a
+    ``beta`` fraction of its records; majority ties go to the lower class."""
     totals = hist.counts.sum(axis=1)
     y_star = hist.counts.max(axis=1)
     labels = hist.counts.argmax(axis=1)
-    pure = y_star / totals >= beta
+    pure = pure_mask(hist.counts, beta)
     pure_bins = tuple(
         PureBin(int(hist.keys[i]), float(hist.reps[i]), int(labels[i]),
                 int(totals[i]), int(y_star[i]))

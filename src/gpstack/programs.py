@@ -6,10 +6,17 @@ arithmetic operators.  It is stored as one flat tuple of nodes in preorder,
 each node the pair its text form writes: ``("attr", index)``,
 ``("const", value)`` or ``(op, None)``.  Programs map a record to a single
 real number; that number is what downstream histogram binning consumes.
+
+The protected arithmetic is written once and shared by both evaluators:
+:func:`eval_batch` runs one program over every record, and
+:func:`eval_population` runs many programs at once as one node matrix,
+evaluated by (height, operator) group, with the same output bits.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -24,6 +31,9 @@ ATTRIBUTE_PROB = 0.9      # chance a fresh terminal reads an attribute
 CONST_RANGE = 1.0         # fresh constants drawn uniform from [-1, 1]
 MUTATION_RATE = 0.1       # per-node parameter mutation probability
 MUTATION_SIGMA = 0.1      # stddev of Gaussian nudges applied to constants
+
+_OP_SET = frozenset(OPS)
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 
 
 @dataclass(frozen=True)
@@ -69,12 +79,31 @@ class ProgramTree:
         return len(self.code)
 
 
+def _operate(op: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a op b`` elementwise, into ``out`` when given: the protected
+    arithmetic every evaluator runs, where pdiv yields 1.0 wherever
+    |b| < ``DIV_GUARD``."""
+    if op != "pdiv":
+        return _UFUNCS[op](a, b, out=out)
+    out = np.empty(a.shape) if out is None else out
+    out.fill(1.0)
+    return np.divide(a, b, out=out, where=np.abs(b) >= DIV_GUARD)
+
+
+def _clamp(r: np.ndarray) -> np.ndarray:
+    """``r`` with every non-finite value replaced in place: NaN by 0.0 and
+    +-inf by +-``FINITE_CLAMP``."""
+    if not np.isfinite(r).all():
+        np.nan_to_num(r, copy=False, nan=0.0, posinf=FINITE_CLAMP, neginf=-FINITE_CLAMP)
+    return r
+
+
 def eval_batch(tree: ProgramTree, records: np.ndarray) -> np.ndarray:
     """Evaluate the program on every row of an (n, d) matrix at once.
 
     Protected semantics: pdiv yields 1.0 where |denominator| < 1e-9, and any
-    non-finite intermediate is replaced by +-1e12 with its sign kept, so the
-    output is always finite.  Finite values are never clipped.
+    non-finite intermediate is replaced by +-1e12 with its sign kept (NaN by
+    0), so the output is always finite.  Finite values are never clipped.
     """
     records = np.asarray(records, dtype=np.float64)
     n = records.shape[0]
@@ -88,22 +117,89 @@ def eval_batch(tree: ProgramTree, records: np.ndarray) -> np.ndarray:
                 stack.append(np.full(n, arg, dtype=np.float64))
             else:
                 a = stack.pop()
-                b = stack.pop()
-                if head == "add":
-                    r = a + b
-                elif head == "sub":
-                    r = a - b
-                elif head == "mul":
-                    r = a * b
-                else:
-                    safe = np.abs(b) >= DIV_GUARD
-                    r = np.divide(a, b, out=np.ones(n, dtype=np.float64), where=safe)
-                if not np.isfinite(r).all():
-                    r = np.nan_to_num(r, copy=False, nan=0.0,
-                                      posinf=FINITE_CLAMP, neginf=-FINITE_CLAMP)
-                stack.append(r)
+                stack.append(_clamp(_operate(head, a, stack.pop())))
     out = stack[0]
     return out if out.base is None else out.copy()
+
+
+def eval_population(trees: Sequence[ProgramTree], records: np.ndarray) -> np.ndarray:
+    """Every program on every row of an (n, d) matrix, as a (P, n) array
+    whose row p equals ``eval_batch(trees[p], records)`` bit for bit.
+
+    All nodes of all programs are rows of one (nodes, n) matrix: attribute
+    reads, then constants, then operators grouped by (height, operator),
+    lower heights first, where an operator's height is 1 + its taller
+    operand's.  Every operand of a group sits at a lower height, so each
+    group is one gather per operand and one call of the protected
+    arithmetic.  Finiteness is checked once, over the whole matrix; only
+    when some value is not finite are the groups run again, each clamped as
+    :func:`eval_batch` clamps, which is exact because every intermediate is
+    a row of the matrix.
+    """
+    records = np.asarray(records, dtype=np.float64)
+    attr_at: list[int] = []
+    attrs: list[int] = []
+    const_at: list[int] = []
+    consts: list[float] = []
+    # (height, operator) -> its nodes, each followed by its left and right operand
+    groups: dict[tuple[int, str], list[int]] = {}
+    roots: list[int] = []
+    base = 0
+    for tree in trees:
+        roots.append(base)
+        at = base = base + tree.node_count
+        pending: list[tuple[int, int]] = []  # (node, height) of operands not yet consumed
+        # right to left, an operator finds its left operand on top of the stack
+        for head, arg in reversed(tree.code):
+            at -= 1
+            if head in _OP_SET:
+                left, h_left = pending.pop()
+                right, h_right = pending.pop()
+                height = (h_left if h_left > h_right else h_right) + 1
+                group = groups.get((height, head))
+                if group is None:
+                    groups[height, head] = [at, left, right]
+                else:
+                    group += (at, left, right)
+                pending.append((at, height))
+                continue
+            if head == "attr":
+                attr_at.append(at)
+                attrs.append(arg)
+            else:
+                const_at.append(at)
+                consts.append(arg)
+            pending.append((at, 0))
+
+    keys = sorted(groups)
+    n_attr = len(attr_at)
+    leaves = n_attr + len(const_at)
+    ops = np.array([v for key in keys for v in groups[key]], dtype=np.int64).reshape(-1, 3)
+    row = np.empty(base, dtype=np.int64)  # each node's row of the matrix
+    row[attr_at] = np.arange(n_attr)
+    row[const_at] = np.arange(n_attr, leaves)
+    row[ops[:, 0]] = np.arange(leaves, base)
+    lefts, rights = row[ops[:, 1]], row[ops[:, 2]]
+    spans = []
+    stop = leaves
+    for key in keys:
+        start, stop = stop, stop + len(groups[key]) // 3
+        spans.append((key[1], start, stop,
+                      lefts[start - leaves:stop - leaves], rights[start - leaves:stop - leaves]))
+
+    values = np.empty((base, records.shape[0]))
+    values[:n_attr] = records[:, attrs].T
+    values[n_attr:leaves] = np.array(consts, dtype=np.float64)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for clamp in (False, True):
+            for op, start, stop, left, right in spans:
+                out = _operate(op, values.take(left, axis=0), values.take(right, axis=0),
+                               values[start:stop])
+                if clamp:
+                    _clamp(out)
+            if clamp or np.isfinite(values).all():
+                break
+    return values[row[roots]]
 
 
 def eval_record(tree: ProgramTree, record: np.ndarray) -> float:
@@ -143,7 +239,13 @@ def grow_clone(parents: Sequence[ProgramTree], d: int,
     operators, then the terminals (kinds, attributes, constants).  Parents
     are untouched, and each offspring has its parent's node count + 2.
     """
-    leaves = [[i for i, (head, _) in enumerate(p.code) if head not in OPS] for p in parents]
+    found: dict[int, list[int]] = {}  # leaf positions, once per distinct parent
+    leaves = []
+    for parent in parents:
+        if id(parent) not in found:
+            found[id(parent)] = [i for i, (head, _) in enumerate(parent.code)
+                                 if head not in _OP_SET]
+        leaves.append(found[id(parent)])
     picks = rng.integers([len(ls) for ls in leaves]).tolist()
     ops = rng.integers(len(OPS), size=len(parents)).tolist()
     terminals = _random_terminals(len(parents), d, rng)
@@ -168,11 +270,11 @@ def mutate_params(trees: Sequence[ProgramTree], d: int, rng: np.random.Generator
     nudges for the hit constants, and operators resampled uniformly for the
     hit operators.  A tree with no hit node is returned itself.
     """
-    sizes = np.array([t.node_count for t in trees], dtype=np.int64)
-    hits = np.flatnonzero(rng.random(int(sizes.sum())) < rate)
-    ends = np.cumsum(sizes)
-    owners = np.searchsorted(ends, hits, side="right")
-    located = list(zip(owners.tolist(), (hits - (ends - sizes)[owners]).tolist()))
+    ends = list(itertools.accumulate(len(t.code) for t in trees))
+    located = []  # (tree, node) of each hit, in node order
+    for hit in np.flatnonzero(rng.random(ends[-1] if ends else 0) < rate).tolist():
+        t = bisect.bisect_right(ends, hit)
+        located.append((t, hit - ends[t] + len(trees[t].code)))
     heads = [trees[t].code[i][0] for t, i in located]
     n_attr, n_const = heads.count("attr"), heads.count("const")
     attrs = iter(rng.integers(d, size=n_attr).tolist())

@@ -31,15 +31,16 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .binning import (FLOAT32_CAPACITY, AmbiguousBin, BinHistogram, FitnessConfig,
                       IntervalGeometry, LevelLookup, PureBin, bin_table, fit_histogram,
-                      fixed_keys, float32_counts, gini_fitness, gini_scores)
+                      fixed_keys, float32_counts, gini_fitness, gini_scores, pure_mask)
 from .dataset import LabeledDataset, remove_records
-from .programs import ProgramTree, RngStream, eval_batch, grow_clone, init_stump, mutate_params
+from .programs import (ProgramTree, RngStream, eval_batch, eval_population, grow_clone,
+                       init_stump, mutate_params)
 
 
 @dataclass(frozen=True)
@@ -117,19 +118,15 @@ class ChampionEntry:
         return LevelLookup.compile(self.geometry, self.pure_bins, self.ambiguous_bins)
 
 
-@dataclass(frozen=True)
-class ScoredTree:
-    """A program, its fitness on one dataset, and ``build``, which makes its
-    histogram there on the first read of ``histogram``; only the programs
-    that :func:`find_champion` examines hold one."""
+class ScoredTree(NamedTuple):
+    """A program, its fitness on one dataset, and whether its histogram
+    there has a pure bin (by :func:`pure_mask`, read from the counts that
+    scored it).  No histogram is kept: :func:`find_champion` builds one for
+    the champion alone."""
 
     tree: ProgramTree
     fitness: float
-    build: Callable[[], BinHistogram] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def histogram(self) -> BinHistogram:
-        return self.build()
+    has_pure: bool
 
 
 @dataclass(frozen=True)
@@ -177,32 +174,36 @@ class EnsembleStack:
         return [e.tree.node_count for e in self.entries]
 
 
-# Most program outputs (programs x records) one scoring batch holds at once.
+# Most values (nodes x records) one scoring batch evaluates at once.
 BATCH_CELLS = 2 ** 21
 
 
 def _score_one(tree: ProgramTree, data: LabeledDataset, fitcfg: FitnessConfig,
                class_counts: np.ndarray) -> ScoredTree:
-    build = functools.partial(fit_histogram, tree, data, fitcfg)
     if not fitcfg.float_resolution:
-        return ScoredTree(tree, gini_fitness(build(), class_counts, fitcfg.alpha), build)
-    counts = float32_counts(eval_batch(tree, data.records), data.labels, data.num_classes)
-    fitness = gini_scores(counts[None], class_counts, fitcfg.alpha,
-                          min(FLOAT32_CAPACITY, data.n))[0]
-    return ScoredTree(tree, float(fitness), build)
+        hist = fit_histogram(tree, data, fitcfg)
+        counts, fitness = hist.counts, gini_fitness(hist, class_counts, fitcfg.alpha)
+    else:
+        counts = float32_counts(eval_batch(tree, data.records), data.labels, data.num_classes)
+        fitness = float(gini_scores(counts[None], class_counts, fitcfg.alpha,
+                                    min(FLOAT32_CAPACITY, data.n))[0])
+    return ScoredTree(tree, fitness, bool(pure_mask(counts, fitcfg.beta).any()))
 
 
 def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig) -> list[ScoredTree]:
-    """Fitness of every program, index-aligned with ``pop``.
+    """Fitness of every program, and whether it has a pure bin,
+    index-aligned with ``pop``.
 
     In fixed mode with fewer than 8 cells per bin table (``num_bin`` x
-    classes) the population is scored in batches by :func:`gini_scores` on
-    counts keyed by :func:`fixed_keys`; numpy sums fewer than 8 terms in
-    order, so every fitness equals the per-program :func:`gini_fitness` bit
-    for bit.  Otherwise each program is scored on its own: in float32 mode
-    by :func:`gini_scores` on :func:`float32_counts`, which equal the counts
-    of :func:`fit_histogram`, so no histogram is built; in fixed mode by
-    :func:`fit_histogram` and :func:`gini_fitness`.
+    classes) the population is scored in batches: :func:`eval_population`
+    evaluates each batch at once, and :func:`gini_scores` and
+    :func:`pure_mask` read counts keyed by :func:`fixed_keys`.  numpy sums
+    fewer than 8 terms in order, so every fitness equals the per-program
+    :func:`gini_fitness` bit for bit.  Otherwise each program is scored on
+    its own: in float32 mode from :func:`float32_counts`, which equal the
+    counts of :func:`fit_histogram`, so no histogram is built; in fixed mode
+    by :func:`fit_histogram` and :func:`gini_fitness`.  No score keeps a
+    histogram.
     """
     counts = data.class_counts()
     if not fitcfg.float_resolution and fitcfg.num_bin * data.num_classes < 8:
@@ -210,33 +211,47 @@ def score_population(pop, data: LabeledDataset, fitcfg: FitnessConfig) -> list[S
     return [_score_one(t, data, fitcfg, counts) for t in pop]
 
 
+def _batches(pop, max_nodes: int):
+    """``pop`` cut in order into runs of at most ``max_nodes`` nodes; a
+    program larger than that is a run of its own."""
+    batch: list[ProgramTree] = []
+    nodes = 0
+    for tree in pop:
+        size = len(tree.code)
+        if batch and nodes + size > max_nodes:
+            yield batch
+            batch, nodes = [], 0
+        batch.append(tree)
+        nodes += size
+    if batch:
+        yield batch
+
+
 def _score_batched(pop, data: LabeledDataset, fitcfg: FitnessConfig,
                    class_counts: np.ndarray) -> list[ScoredTree]:
     scored: list[ScoredTree] = []
     nb, C = fitcfg.num_bin, data.num_classes
-    step = max(1, BATCH_CELLS // data.n)
-    for start in range(0, len(pop), step):
-        chunk = pop[start:start + step]
+    max_nodes = max(1, BATCH_CELLS // data.n)
+    for chunk in _batches(pop, max_nodes):
         P = len(chunk)
-        outputs = np.empty((P, data.n))
-        for i, tree in enumerate(chunk):
-            outputs[i] = eval_batch(tree, data.records)
+        if chunk[0].node_count > max_nodes:  # too large for a node matrix
+            outputs = eval_batch(chunk[0], data.records)[None]
+        else:
+            outputs = eval_population(chunk, data.records)
         cells = fixed_keys(outputs, outputs.min(axis=1), outputs.max(axis=1), nb)
         cells += (np.arange(P) * nb)[:, None]
         cells *= C
         cells += data.labels
         counts = np.bincount(cells.ravel(), minlength=P * nb * C).reshape(P, nb, C)
-        fits = gini_scores(counts, class_counts, fitcfg.alpha, min(nb, data.n))
-        scored += [ScoredTree(t, float(f), functools.partial(fit_histogram, t, data, fitcfg))
-                   for t, f in zip(chunk, fits)]
+        fits = gini_scores(counts, class_counts, fitcfg.alpha, min(nb, data.n)).tolist()
+        pure = pure_mask(counts, fitcfg.beta).any(axis=1).tolist()
+        scored += map(ScoredTree, chunk, fits, pure)
     return scored
 
 
 def _rank(scored: list[ScoredTree]) -> tuple[ScoredTree, ...]:
     # stable sort: equal fitness keeps the earlier population index first
-    fits = np.array([s.fitness for s in scored])
-    order = np.argsort(-fits, kind="stable")
-    return tuple(scored[i] for i in order)
+    return tuple(sorted(scored, key=lambda s: s.fitness, reverse=True))
 
 
 def evolve_generation(pop, data: LabeledDataset, cfg: TrainerConfig,
@@ -278,21 +293,25 @@ def _breed(survivors: tuple[ProgramTree, ...], d: int, n_offspring: int,
     return survivors + mutate_params(grow_clone(parents, d, g), d, g)
 
 
-def find_champion(ranked, gap: int, best_fit: float, beta: float,
-                  boost_epoch: int) -> ChampionEntry | None:
-    """First survivor, in rank order, fit enough to join the stack.
+def find_champion(ranked, data: LabeledDataset, cfg: TrainerConfig, best_fit: float,
+                  boost_epoch: int) -> tuple[ChampionEntry, BinHistogram] | None:
+    """First of the top ``cfg.gap`` survivors, in rank order, fit enough to
+    join the stack, with its histogram on ``data``.
 
     A champion must score strictly above ``best_fit`` and own at least one
-    pure bin at ``beta``.  Ranking is descending, so the scan stops at the
-    first survivor at or below the bar.
+    pure bin at ``cfg.beta``.  Ranking is descending, so the scan stops at
+    the first survivor at or below the bar.  A survivor's score says whether
+    it has a pure bin, so the one histogram built is the champion's, by
+    :func:`fit_histogram` on ``data``, the dataset it was scored on.
     """
-    for s in ranked[:gap]:
+    for s in ranked[:cfg.gap]:
         if s.fitness <= best_fit:
             return None
-        pure, ambiguous = bin_table(s.histogram, beta)
-        if pure:
-            return ChampionEntry(s.tree, s.fitness, s.histogram.geometry,
-                                 pure, ambiguous, beta, boost_epoch)
+        if s.has_pure:
+            histogram = fit_histogram(s.tree, data, cfg.fitness_config())
+            pure, ambiguous = bin_table(histogram, cfg.beta)
+            return ChampionEntry(s.tree, s.fitness, histogram.geometry, pure, ambiguous,
+                                 cfg.beta, boost_epoch), histogram
     return None
 
 
@@ -340,20 +359,19 @@ def train(data: LabeledDataset, cfg: TrainerConfig) -> EnsembleStack:
         t_epoch = time.perf_counter()
         epoch = root.child(b)
         pop = init_stump(cfg.new_pop_size, data.d, epoch.child(0).generator())
-        champion, scores = None, {}
+        found, scores = None, {}
         for j in range(1, cfg.max_gp_epoch + 1):
             result = evolve_generation(pop, residual, cfg, epoch.child(j), scores)
-            champion = find_champion(result.ranked, cfg.gap, best_fit, cfg.beta, b)
-            if champion is not None or j == cfg.max_gp_epoch:
+            found = find_champion(result.ranked, residual, cfg, best_fit, b)
+            if found is not None or j == cfg.max_gp_epoch:
                 break
             pop = result.next_pop  # bred only here, for the generation that follows
         log.epoch_seconds.append(time.perf_counter() - t_epoch)
-        if champion is None:
+        if found is None:
             log.stalled = True
             break
+        champion, histogram = found
         best_fit = champion.fitness
-        # the champion's histogram, which find_champion has built and cached
-        histogram = next(s.histogram for s in result.ranked if s.tree is champion.tree)
         residual, _ = extract_residual(champion, residual, histogram)
         entries.append(champion)
         log.residual_sizes.append(0 if residual is None else residual.n)

@@ -3,19 +3,20 @@ against the per-program path and against scoring every generation afresh.
 
 ``score_population`` scores a fixed-mode population in batches when a bin
 table has fewer than 8 cells; every fitness must equal ``gini_fitness`` of
-``fit_histogram`` bit for bit, and the histogram a score builds on first
-read must equal the one ``fit_histogram`` returns.  Float32 scoring counts
-bins from one sort (``float32_counts``); those counts, and so every
-fitness, must equal the histogram's bit for bit.  Within a boost epoch
-each program is scored once on its residual, and sharing that table must
-not change what training writes.
+``fit_histogram`` bit for bit.  Float32 scoring counts bins from one sort
+(``float32_counts``); those counts, and so every fitness, must equal the
+histogram's bit for bit.  On every path a score's ``has_pure`` must say
+what ``bin_table`` of that histogram says.  Within a boost epoch each
+program is scored once on its residual, and sharing that table must not
+change what training writes.
 """
 
 import numpy as np
 import pytest
 
 import gpstack.training as training
-from gpstack.binning import FitnessConfig, fit_histogram, float32_counts, gini_fitness
+from gpstack.binning import (FitnessConfig, bin_table, fit_histogram, float32_counts,
+                             gini_fitness)
 from gpstack.dataset import LabeledDataset
 from gpstack.model import dumps
 from gpstack.programs import (FINITE_CLAMP, RngStream, eval_batch, format_tree, grow_clone,
@@ -45,14 +46,12 @@ def reference(pop, data, fitcfg):
     return [gini_fitness(fit_histogram(t, data, fitcfg), counts, fitcfg.alpha) for t in pop]
 
 
+def has_pure(pop, data, fitcfg):
+    return [bool(bin_table(fit_histogram(t, data, fitcfg), fitcfg.beta)[0]) for t in pop]
+
+
 def bits(values):
     return [float(v).hex() for v in values]
-
-
-def assert_same_histogram(a, b):
-    assert a.geometry == b.geometry
-    for name in ("keys", "reps", "counts", "record_inverse"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def three_classes_one_missing(rng, n):
@@ -90,18 +89,28 @@ def histogram_calls(monkeypatch):
     return calls
 
 
+def count_scored(monkeypatch, calls):
+    """Appends to ``calls`` each program that training runs to score it, by
+    ``eval_batch`` or ``eval_population``; histogram builds run programs in
+    ``binning`` and are not counted."""
+    one, many = training.eval_batch, training.eval_population
+
+    def counting_one(tree, records):
+        calls.append(tree)
+        return one(tree, records)
+
+    def counting_many(trees, records):
+        calls.extend(trees)
+        return many(trees, records)
+
+    monkeypatch.setattr(training, "eval_batch", counting_one)
+    monkeypatch.setattr(training, "eval_population", counting_many)
+
+
 @pytest.fixture()
 def scored_calls(monkeypatch):
-    """Programs training runs to score them; histogram builds run them in
-    ``binning`` and are not counted."""
     calls = []
-    real = training.eval_batch
-
-    def counting(tree, records):
-        calls.append(tree)
-        return real(tree, records)
-
-    monkeypatch.setattr(training, "eval_batch", counting)
+    count_scored(monkeypatch, calls)
     return calls
 
 
@@ -120,6 +129,7 @@ def test_batched_fitness_is_bit_identical(seed, histogram_calls):
                 scored = score_population(pop, data, fitcfg)
                 assert histogram_calls == []  # fitness came from the batch
                 assert bits(s.fitness for s in scored) == bits(reference(pop, data, fitcfg))
+                assert [s.has_pure for s in scored] == has_pure(pop, data, fitcfg)
                 assert [s.tree for s in scored] == pop
                 checked += len(pop)
     assert checked >= 40 * 12
@@ -131,26 +141,43 @@ def test_large_tables_take_the_per_program_path(num_bin, num_classes, histogram_
     data = (random_dataset(rng, n=50, d=3) if num_classes == 2
             else three_classes_one_missing(rng, 50))
     pop = random_population(rng, data.d, 20)
-    fitcfg = FitnessConfig(num_bin=num_bin)
+    fitcfg = FitnessConfig(beta=0.7, num_bin=num_bin)
     scored = score_population(pop, data, fitcfg)
     assert histogram_calls == pop
     assert bits(s.fitness for s in scored) == bits(reference(pop, data, fitcfg))
-    for s in scored:
-        assert_same_histogram(s.histogram, fit_histogram(s.tree, data, fitcfg))
+    assert [s.has_pure for s in scored] == has_pure(pop, data, fitcfg)
 
 
-def test_lazy_histogram_equals_fit_histogram(histogram_calls):
+@pytest.mark.parametrize("float_resolution,num_bin", [(False, 2), (False, 4), (True, 2)])
+@pytest.mark.parametrize("beta", [0.5, 0.75, 0.8, 1.0])
+def test_has_pure_is_exact_at_a_share_of_beta(beta, float_resolution, num_bin):
+    """Bins whose majority share is exactly 3/4, 4/5, 1/2 or 1, on the
+    batched (2 bins), per-program fixed (4 bins) and float32 paths: a bin at
+    exactly ``beta`` is pure, so each path must read ``y_star / total >= beta``
+    as ``bin_table`` does."""
+    # (attr 0) puts 4 records at -1 (3 of class a), 5 at 1 (4 of class b)
+    # and 2 at 2 (one each); 2 fixed bins hold 3 of 4 and 5 of 7; (attr 1)
+    # puts all 11 in one bin of 6 to 5
+    X = np.array([[-1.0, 0.0]] * 4 + [[1.0, 0.0]] * 5 + [[2.0, 0.0]] * 2)
+    labels = np.array([0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1])
+    data = LabeledDataset(X, labels, ("a", "b"))
+    pop = [parse_tree("(attr 0)"), parse_tree("(attr 1)"), parse_tree("(sub (attr 0) (attr 0))")]
+    fitcfg = FitnessConfig(beta=beta, num_bin=num_bin, float_resolution=float_resolution)
+    expected = has_pure(pop, data, fitcfg)
+    assert [s.has_pure for s in score_population(pop, data, fitcfg)] == expected
+    assert expected == [beta <= (0.75 if num_bin == 2 and not float_resolution else 0.8),
+                        beta <= 6 / 11, beta <= 6 / 11]
+
+
+def test_scores_keep_no_histogram(histogram_calls):
     rng = np.random.default_rng(5)
     data = random_dataset(rng, n=60, d=3)
     pop = random_population(rng, data.d, 25)
     fitcfg = FitnessConfig(num_bin=3)
     scored = score_population(pop, data, fitcfg)
     assert histogram_calls == []
-    for s in scored:
-        lazy = s.histogram
-        assert s.histogram is lazy  # built once, then kept
-        assert_same_histogram(lazy, fit_histogram(s.tree, data, fitcfg))
-    assert histogram_calls == pop
+    assert all(s._fields == ("tree", "fitness", "has_pure") for s in scored)
+    assert [s.has_pure for s in scored] == has_pure(pop, data, fitcfg)
 
 
 def test_chunks_give_the_same_fitness(monkeypatch):
@@ -165,6 +192,36 @@ def test_chunks_give_the_same_fitness(monkeypatch):
     single = score_population(pop, data, fitcfg)
     assert bits(s.fitness for s in whole) == bits(s.fitness for s in chunked) \
         == bits(s.fitness for s in single)
+    assert whole == chunked == single
+
+
+@pytest.mark.parametrize("cap_nodes", [1, 2, 3, 5, 8, 13, 40])
+def test_no_batch_holds_more_cells_than_the_cap(cap_nodes, monkeypatch):
+    """Each batch's node matrix holds at most ``BATCH_CELLS`` values, and a
+    batch is cut only where the next program would not fit; a program larger
+    than the cap by itself is evaluated alone by ``eval_batch``."""
+    rng = np.random.default_rng(60 + cap_nodes)
+    data = random_dataset(rng, n=30, d=3)
+    pop = random_population(rng, data.d, 30)
+    fitcfg = FitnessConfig(num_bin=2)
+    whole = score_population(pop, data, fitcfg)
+    calls, alone = [], []
+    population, batch = training.eval_population, training.eval_batch
+    monkeypatch.setattr(training, "eval_population",
+                        lambda trees, records: calls.append(list(trees))
+                        or population(trees, records))
+    monkeypatch.setattr(training, "eval_batch",
+                        lambda tree, records: calls.append([tree]) or alone.append(tree)
+                        or batch(tree, records))
+    cap = cap_nodes * data.n + data.n - 1  # room for cap_nodes nodes, not one more
+    monkeypatch.setattr(training, "BATCH_CELLS", cap)
+    assert score_population(pop, data, fitcfg) == whole
+    assert [t for trees in calls for t in trees] == pop
+    cells = [sum(t.node_count for t in trees) * data.n for trees in calls]
+    assert all((c > cap) == (trees[0] in alone) for c, trees in zip(cells, calls))
+    assert all(c + trees[0].node_count * data.n > cap for c, trees in zip(cells, calls[1:]))
+    if cap_nodes >= 13:
+        assert len(calls) < len(pop)
 
 
 # ranges float64 cannot split: the keys still lie in [0, num_bin), so the
@@ -227,17 +284,16 @@ def test_carried_survivors_are_not_scored_again(monkeypatch):
     cfg = TrainerConfig(new_pop_size=10, gap=3)
     stream = RngStream(0).child(1)
     evaluated = []
-    real = training.eval_batch
-    monkeypatch.setattr(training, "eval_batch",
-                        lambda tree, records: evaluated.append(tree.code) or real(tree, records))
+    count_scored(monkeypatch, evaluated)
     scores = {}
     first = evolve_generation(tuple(parse_tree(f"(attr {i % 3})") for i in range(10)),
                               data, cfg, stream.child(1), scores)
-    assert evaluated == [parse_tree(f"(attr {i})").code for i in range(3)]
+    assert [t.code for t in evaluated] == [parse_tree(f"(attr {i})").code for i in range(3)]
     kept = dict(scores)
     del evaluated[:]
     second = evolve_generation(first.next_pop, data, cfg, stream.child(2), scores)
-    assert evaluated == list(dict.fromkeys(t.code for t in first.next_pop if t.code not in kept))
+    assert [t.code for t in evaluated] == list(dict.fromkeys(
+        t.code for t in first.next_pop if t.code not in kept))
     assert all(any(s is kept[c.tree.code] for s in second.ranked) for c in first.ranked[:3])
 
 
@@ -285,6 +341,14 @@ def test_no_program_is_scored_twice_on_one_residual(float_resolution, monkeypatc
             return fn(tree, where, *rest)
         return wrapped
 
+    def watch_population(fn):
+        def wrapped(trees, records):
+            if scoring[0]:
+                alive.append(records)
+                calls.extend(("eval_batch", id(records), t.code) for t in trees)
+            return fn(trees, records)
+        return wrapped
+
     def scoring_only(fn):
         def wrapped(*args):
             scoring[0] = True
@@ -298,9 +362,13 @@ def test_no_program_is_scored_twice_on_one_residual(float_resolution, monkeypatc
     monkeypatch.setattr(training, "evolve_generation",
                         lambda pop, *rest: pops.append(pop) or real_generation(pop, *rest))
     monkeypatch.setattr(training, "score_population", scoring_only(training.score_population))
-    # fit_histogram gets the residual, eval_batch its records array
+    # fit_histogram gets the residual, eval_batch and eval_population its
+    # records array; both evaluators count as one, so a program scored by
+    # each on one residual is a repeat too
     monkeypatch.setattr(training, "fit_histogram", watch("fit_histogram", training.fit_histogram))
     monkeypatch.setattr(training, "eval_batch", watch("eval_batch", training.eval_batch))
+    monkeypatch.setattr(training, "eval_population",
+                        watch_population(training.eval_population))
     stack = train(data, cfg)
     assert stack.depth >= 2 and len(pops) > stack.depth + 1  # some epoch breeds
     first = [t.code for t in pops[0]]
@@ -334,6 +402,7 @@ def assert_float32_scores_match(pop, data, alpha, histogram_calls):
     scored = score_population(pop, data, fitcfg)
     assert histogram_calls == []  # no histogram was built to score
     assert bits(s.fitness for s in scored) == bits(reference(pop, data, fitcfg))
+    assert [s.has_pure for s in scored] == has_pure(pop, data, fitcfg)
     for tree in pop:
         counts = float32_counts(eval_batch(tree, data.records), data.labels, data.num_classes)
         expected = fit_histogram(tree, data, fitcfg).counts

@@ -298,5 +298,9 @@ class TestGeometryValidation:
             FitnessConfig(beta=1.5)
         with pytest.raises(ValueError):
             FitnessConfig(alpha=-0.1)
+        for alpha in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"alpha must be finite and non-negative, "
+                                                 f"got {alpha}"):
+                FitnessConfig(alpha=alpha)
         with pytest.raises(ValueError):
             FitnessConfig(num_bin=0)

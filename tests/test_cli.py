@@ -215,6 +215,32 @@ def never(*args, **kwargs):
     raise AssertionError("called before the flags were checked")
 
 
+class TestNonFiniteAlpha:
+    """A NaN or infinite alpha makes every fitness NaN or infinite, so no
+    champion can clear the bar; it is refused before the CSV is parsed."""
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_flag_rejected(self, alpha, toy_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", never)
+        model = tmp_path / "m.model"
+        rc = main(["train", "--data", toy_csv, "--preset", "small-fast", "--alpha", alpha,
+                   "--model", str(model)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: alpha must be finite and non-negative, got {float(alpha)}"]
+        assert not model.exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "-inf"])
+    def test_config_file_rejected(self, alpha, toy_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", never)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"alpha = {alpha}\n", encoding="utf-8")
+        rc = main(["train", "--data", toy_csv, "--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: alpha must be finite and non-negative, got {float(alpha)}"]
+
+
 class TestFlagsCheckedBeforeTheParse:
     @pytest.mark.parametrize("frac", ["1.5", "0", "-0.2", "1", "nan"])
     @pytest.mark.parametrize("command", ["train", "split"])

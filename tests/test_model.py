@@ -390,6 +390,14 @@ class TestStacksTrainingCannotWrite:
         with pytest.raises(ModelFormatError, match=f"^line {at}: .*{message}"):
             loads(text)
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # line 6 is the header's alpha; the configuration is checked at line 17
+        text = with_line(edit_base("small_fixed.model"), 6, f"alpha {alpha}")
+        with pytest.raises(ModelFormatError, match="^line 17: invalid configuration: alpha must "
+                                                   f"be finite and non-negative, got {alpha}"):
+            loads(text)
+
     def test_negative_seed_rejected(self):
         # line 11 is the header's seed
         text = with_line(edit_base("small_fixed.model"), 11, "seed -1")

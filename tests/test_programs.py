@@ -8,8 +8,8 @@ import pytest
 
 from gpstack.programs import (ATTRIBUTE_PROB, CONST_RANGE, DIV_GUARD, FINITE_CLAMP, OPS,
                               ProgramTree, RngStream, TreeFormatError, eval_batch,
-                              eval_record, format_tree, grow_clone, init_stump,
-                              mutate_params, parse_tree)
+                              eval_population, eval_record, format_tree, grow_clone,
+                              init_stump, mutate_params, parse_tree)
 
 
 def tree_of(text):
@@ -91,6 +91,97 @@ class TestEval:
         out = eval_batch(t, X)
         out[0] = 99.0
         assert X[0, 0] == 1.0
+
+
+# values that stress the protected arithmetic: float64's extremes and
+# subnormals, signed zeros, and divisors on either side of DIV_GUARD
+SPECIAL_VALUES = [1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, DIV_GUARD, -DIV_GUARD,
+                  float(np.nextafter(DIV_GUARD, 0.0)), float(np.nextafter(DIV_GUARD, 1.0)),
+                  -float(np.nextafter(DIV_GUARD, 0.0)), 1e154, -1e154, 1e-200, 1.0, -2.5]
+
+
+def random_program(rng, d, height):
+    """A random program of at most ``height`` operator levels, its leaves
+    reading any of ``d`` attributes or holding a SPECIAL_VALUES constant."""
+    if height == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return [("attr", int(rng.integers(d)))]
+        return [("const", float(rng.choice(SPECIAL_VALUES)))]
+    left = random_program(rng, d, height - 1)
+    right = random_program(rng, d, int(rng.integers(0, height)))
+    if rng.random() < 0.5:
+        left, right = right, left
+    return [(OPS[int(rng.integers(len(OPS)))], None)] + left + right
+
+
+def stacked(trees, X):
+    return np.stack([eval_batch(t, X) for t in trees]).reshape(len(trees), X.shape[0])
+
+
+class TestEvalPopulation:
+    """``eval_population`` must give every program's ``eval_batch`` output
+    bit for bit: the same protected arithmetic, the same clamping."""
+
+    def assert_same(self, trees, X):
+        out = eval_population(trees, X)
+        assert out.dtype == np.float64 and out.shape == (len(trees), X.shape[0])
+        assert out.tobytes() == stacked(trees, X).tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_populations_on_extreme_records(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        d = int(rng.integers(1, 5))
+        X = rng.choice(SPECIAL_VALUES, size=(int(rng.integers(1, 40)), d))
+        plain = rng.random(X.shape) < 0.3
+        X[plain] = rng.normal(0.0, 3.0, int(plain.sum()))
+        for _ in range(8):
+            size = int(rng.choice([1, 2, 5, 20]))
+            trees = [ProgramTree(tuple(random_program(rng, d, int(rng.integers(0, 11)))))
+                     for _ in range(size)]
+            self.assert_same(trees, X)
+
+    def test_tall_programs(self):
+        rng = np.random.default_rng(30)
+        X = rng.choice(SPECIAL_VALUES, size=(25, 3))
+        trees = []
+        while len(trees) < 10:
+            code = random_program(rng, 3, 12)
+            if depth(ProgramTree(tuple(code))) > 8:
+                trees.append(ProgramTree(tuple(code)))
+        self.assert_same(trees, X)
+        self.assert_same(trees[:1], X)
+
+    def test_stumps_only(self):
+        X = np.array([[1.5, -0.0], [5e-324, 1e308]])
+        trees = [tree_of(t) for t in ("(attr 1)", "(const -0.0)", "(attr 0)", "(attr 1)")]
+        self.assert_same(trees, X)
+        out = eval_population(trees, X)
+        out[:] = 7.0
+        assert X.tolist() == [[1.5, -0.0], [5e-324, 1e308]]  # no alias of the records
+
+    def test_overflow_and_inf_minus_inf(self):
+        big = "(mul (attr 0) (const 1e300))"  # overflows, clamped to +-1e12
+        trees = [tree_of(f"(sub {big} {big})"), tree_of(big),
+                 tree_of(f"(pdiv (attr 1) (sub {big} {big}))"),
+                 tree_of("(add (mul (attr 0) (attr 0)) (mul (attr 1) (const -1e308)))"),
+                 tree_of("(pdiv (const 1.0) (attr 1))")]
+        X = np.array([[1e10, 1e-300], [-1e10, 1e308], [0.0, 9.99e-10], [1.0, 2.0]])
+        self.assert_same(trees, X)
+        assert eval_population(trees[:2], X)[:, 0].tolist() == [0.0, FINITE_CLAMP]
+
+    def test_non_contiguous_records(self):
+        rng = np.random.default_rng(31)
+        full = rng.choice(SPECIAL_VALUES, size=(6, 20))
+        X = full.T[::2]  # a strided view, (10, 6)
+        trees = [ProgramTree(tuple(random_program(rng, 6, 5))) for _ in range(15)]
+        self.assert_same(trees, X)
+        assert eval_population(trees, X).tobytes() == \
+            eval_population(trees, np.ascontiguousarray(X)).tobytes()
+
+    def test_empty_population_and_no_records(self):
+        assert eval_population([], np.zeros((3, 2))).shape == (0, 3)
+        trees = [tree_of("(add (attr 0) (const 1.0))"), tree_of("(attr 1)")]
+        assert eval_population(trees, np.zeros((0, 2))).shape == (2, 0)
 
 
 class TestInitStump:

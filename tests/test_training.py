@@ -26,7 +26,8 @@ def one_col(values, labels, classes=("a", "b")):
 def scored(tree_text, data, cfg=FitnessConfig()):
     tree = parse_tree(tree_text)
     hist = fit_histogram(tree, data, cfg)
-    return ScoredTree(tree, gini_fitness(hist, data.class_counts(), cfg.alpha), lambda: hist)
+    return ScoredTree(tree, gini_fitness(hist, data.class_counts(), cfg.alpha),
+                      bool(bin_table(hist, cfg.beta)[0]))
 
 
 class TestTrainerConfig:
@@ -64,6 +65,14 @@ class TestTrainerConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             TrainerConfig(seed=-1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError,
+                           match=f"alpha must be finite and non-negative, got {alpha}"):
+            TrainerConfig(alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            preset("small-fast", alpha=alpha)
 
 
 class TestEvolveGeneration:
@@ -247,40 +256,60 @@ PARENTS = ["(const 0.5)", "(add (const 0.25) (attr 0))",
 
 
 class TestFindChampion:
+    # (attr 0) splits the classes into two pure bins, (attr 1) into two
+    # 50/50 bins, and (const 0.5) puts every record in one mixed bin
+    DATA = LabeledDataset(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+                          np.array([0, 0, 1, 1]), ("a", "b"))
+    CFG = TrainerConfig(new_pop_size=3, gap=3)
+
+    def ranked(self, *texts):
+        """Scores the programs on DATA and ranks them in the order given."""
+        return [scored(t, self.DATA)._replace(fitness=10.0 - i) for i, t in enumerate(texts)]
+
     def test_picks_first_ranked_with_pure_bin(self):
-        data = one_col([0.0, 0.0, 1.0, 1.0], [0, 1, 0, 1])
-        mixed = scored("(const 0.5)", data)       # single bin, never pure
-        split = scored("(attr 0)", data)          # two 50/50 bins, never pure
-        pure_data = one_col([0.0, 0.0, 1.0, 1.0], [0, 0, 1, 1])
-        good = scored("(attr 0)", pure_data)
-        ranked = sorted([mixed, split, good], key=lambda s: -s.fitness)
-        champ = find_champion(ranked, gap=3, best_fit=0.0, beta=0.99, boost_epoch=2)
-        assert champ is not None
-        assert champ.tree is good.tree
+        ranked = self.ranked("(const 0.5)", "(attr 1)", "(attr 0)")
+        assert [s.has_pure for s in ranked] == [False, False, True]
+        champ, hist = find_champion(ranked, self.DATA, self.CFG, best_fit=0.0, boost_epoch=2)
+        assert champ.tree is ranked[2].tree
+        assert champ.fitness == ranked[2].fitness
         assert champ.boost_epoch == 2
         assert len(champ.pure_bins) == 2
+        expected = fit_histogram(champ.tree, self.DATA, self.CFG.fitness_config())
+        assert hist.geometry == expected.geometry == champ.geometry
+        assert np.array_equal(hist.counts, expected.counts)
+        assert np.array_equal(hist.record_inverse, expected.record_inverse)
+        assert (champ.pure_bins, champ.ambiguous_bins) == bin_table(expected, self.CFG.beta)
+
+    def test_builds_one_histogram_for_the_champion_alone(self, monkeypatch):
+        built = []
+        real = training.fit_histogram
+        monkeypatch.setattr(training, "fit_histogram",
+                            lambda tree, *rest: built.append(tree) or real(tree, *rest))
+        ranked = self.ranked("(const 0.5)", "(attr 1)", "(attr 0)")
+        champ, _ = find_champion(ranked, self.DATA, self.CFG, best_fit=0.0, boost_epoch=1)
+        assert built == [champ.tree]
+        del built[:]
+        assert find_champion(ranked[:2], self.DATA, self.CFG, best_fit=0.0,
+                             boost_epoch=1) is None
+        assert built == []  # no survivor had a pure bin
 
     def test_requires_strict_fitness_improvement(self):
-        data = one_col([0.0, 0.0, 1.0, 1.0], [0, 0, 1, 1])
-        s = scored("(attr 0)", data)
-        assert find_champion([s], 1, best_fit=s.fitness, beta=0.99, boost_epoch=1) is None
-        assert find_champion([s], 1, best_fit=s.fitness - 1e-9, beta=0.99,
+        (s,) = self.ranked("(attr 0)")
+        cfg = dataclasses.replace(self.CFG, gap=1)
+        assert find_champion([s], self.DATA, cfg, best_fit=s.fitness, boost_epoch=1) is None
+        assert find_champion([s], self.DATA, cfg, best_fit=s.fitness - 1e-9,
                              boost_epoch=1) is not None
 
     def test_no_pure_bins_means_no_champion(self):
-        data = one_col([0.0, 0.0, 1.0, 1.0], [0, 1, 0, 1])
-        s = scored("(attr 0)", data)
-        assert find_champion([s], 1, best_fit=0.0, beta=0.99, boost_epoch=1) is None
+        ranked = self.ranked("(attr 1)", "(const 0.5)")
+        assert find_champion(ranked, self.DATA, self.CFG, best_fit=0.0, boost_epoch=1) is None
 
     def test_scan_limited_to_gap(self):
-        data = one_col([0.0, 0.0, 1.0, 1.0], [0, 0, 1, 1])
-        bad_data = one_col([0.0, 0.0, 1.0, 1.0], [0, 1, 0, 1])
-        impure = scored("(attr 0)", bad_data)
-        good = scored("(attr 0)", data)
-        ranked = [dataclasses.replace(impure, fitness=10.0), good]
-        assert find_champion(ranked, gap=1, best_fit=0.0, beta=0.99, boost_epoch=1) is None
-        found = find_champion(ranked, gap=2, best_fit=0.0, beta=0.99, boost_epoch=1)
-        assert found is not None and found.tree is good.tree
+        ranked = self.ranked("(attr 1)", "(attr 0)")
+        narrow = dataclasses.replace(self.CFG, gap=1)
+        assert find_champion(ranked, self.DATA, narrow, best_fit=0.0, boost_epoch=1) is None
+        found, _ = find_champion(ranked, self.DATA, self.CFG, best_fit=0.0, boost_epoch=1)
+        assert found.tree is ranked[1].tree
 
 
 class TestExtractResidual:
@@ -433,6 +462,23 @@ class TestTrain:
         b = train(data, TrainerConfig(max_boost_epoch=5, max_gp_epoch=4,
                                       new_pop_size=10, gap=3, beta=0.9, seed=2))
         assert dumps(a) != dumps(b)
+
+    @pytest.mark.parametrize("float_resolution", [False, True])
+    def test_one_histogram_per_level(self, float_resolution, monkeypatch):
+        """Batched fixed-mode and float32 scoring build no histogram; the
+        champion search builds the champion's alone."""
+        built = []
+        real = training.fit_histogram
+        monkeypatch.setattr(training, "fit_histogram",
+                            lambda tree, data, cfg: built.append((tree, data.n))
+                            or real(tree, data, cfg))
+        data = random_dataset(np.random.default_rng(14), n=80, d=3)
+        cfg = TrainerConfig(max_boost_epoch=20, max_gp_epoch=6, new_pop_size=12, gap=4,
+                            beta=0.9, float_resolution=float_resolution,
+                            alpha=0.4 if float_resolution else 0.0, seed=6)
+        stack = train(data, cfg)
+        assert stack.depth >= 2
+        assert built == [(e.tree, n) for e, n in zip(stack.entries, stack.log.residual_sizes)]
 
     def test_float_resolution_run(self):
         data = random_dataset(np.random.default_rng(13), n=60, d=2)
