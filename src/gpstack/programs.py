@@ -79,13 +79,11 @@ class ProgramTree:
         return len(self.code)
 
 
-def _operate(op: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a op b`` elementwise, into ``out`` when given: the protected
-    arithmetic every evaluator runs, where pdiv yields 1.0 wherever
-    |b| < ``DIV_GUARD``."""
+def _operate(op: str, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a op b`` elementwise into ``out``: the protected arithmetic every
+    evaluator runs, where pdiv yields 1.0 wherever |b| < ``DIV_GUARD``."""
     if op != "pdiv":
         return _UFUNCS[op](a, b, out=out)
-    out = np.empty(a.shape) if out is None else out
     out.fill(1.0)
     return np.divide(a, b, out=out, where=np.abs(b) >= DIV_GUARD)
 
@@ -117,7 +115,7 @@ def eval_batch(tree: ProgramTree, records: np.ndarray) -> np.ndarray:
                 stack.append(np.full(n, arg, dtype=np.float64))
             else:
                 a = stack.pop()
-                stack.append(_clamp(_operate(head, a, stack.pop())))
+                stack.append(_clamp(_operate(head, a, stack.pop(), np.empty(n))))
     out = stack[0]
     return out if out.base is None else out.copy()
 
