@@ -231,7 +231,7 @@ def _score_batched(pop, data: LabeledDataset, fitcfg: FitnessConfig,
                    class_counts: np.ndarray) -> list[ScoredTree]:
     scored: list[ScoredTree] = []
     nb, C = fitcfg.num_bin, data.num_classes
-    max_nodes = max(1, BATCH_CELLS // data.n)
+    max_nodes = BATCH_CELLS // data.n
     for chunk in _batches(pop, max_nodes):
         P = len(chunk)
         if chunk[0].node_count > max_nodes:  # too large for a node matrix

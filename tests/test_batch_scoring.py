@@ -195,7 +195,7 @@ def test_chunks_give_the_same_fitness(monkeypatch):
     assert whole == chunked == single
 
 
-@pytest.mark.parametrize("cap_nodes", [1, 2, 3, 5, 8, 13, 40])
+@pytest.mark.parametrize("cap_nodes", [0, 1, 2, 3, 5, 8, 13, 40])
 def test_no_batch_holds_more_cells_than_the_cap(cap_nodes, monkeypatch):
     """Each batch's node matrix holds at most ``BATCH_CELLS`` values, and a
     batch is cut only where the next program would not fit; a program larger
